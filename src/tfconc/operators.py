@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.signal
 
-from .errors import DomainError, NumericalError
-from .gabor import PhaseGrid, analyze, shifted_rows
+from .errors import CoverageError, DomainError, NumericalError
+from .gabor import PhaseGrid, analyze
 from .grids import SampleGrid, Signal
 from .kernels import ambiguity_table
 from .regions import RasterizedRegion, Region, rasterize
@@ -38,6 +38,10 @@ __all__ = [
 
 _HERMITIAN_TOL = 1e-12
 _EIG_RANGE_TOL = 1e-8
+#: window samples at or below this fraction of the peak lie outside a row's block
+_SUPPORT_TOL = 1e-17
+#: phase_space_matrix beyond this many cells needs gigabytes (cells**2 entries)
+_CELL_CAP = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,10 +96,15 @@ def assemble(
 ) -> ConcentrationOperator:
     """Assemble the operator matrix for ``window`` concentrated on ``region``.
 
-    Fast path: group raster cells by shift row; the modulation sum of each row
-    collapses to a difference kernel ``D_i(t_a - t_b)`` (uniform sigma step),
-    leaving one windowed outer product per row.  This is algebraically the
-    column-by-column analyze -> mask -> synthesize composition, reorganized.
+    Fast path: group raster cells by shift row; the weighted modulation sum of
+    each row collapses to a difference kernel ``D_i(t_a - t_b)`` (uniform sigma
+    step), leaving one windowed outer product per row.  That product is
+    nonzero only on the square block where the shifted window is, so each row
+    updates just that block: the window's support (samples above
+    ``1e-17 * max|w|``) shifted and clipped to the grid.  The cost is
+    rows * width**2 for a support ``width`` samples wide, not rows * n**2.
+    This is algebraically the column-by-column analyze -> mask -> synthesize
+    composition, reorganized.
 
     ``oracle=True`` instead sums ``weight * outer(g_c, conj(g_c))`` over raster
     cells with ``g_c`` the explicitly shifted window -- the direct quadrature
@@ -125,19 +134,33 @@ def _assemble_fast(window: Window, raster: RasterizedRegion) -> np.ndarray:
     grid = window.grid
     pg = raster.phase_grid
     n = grid.n
-    sigmas = pg.sigma_values
-    u = grid.dt * np.arange(-(n - 1), n)
-    bins = np.exp(2j * np.pi * np.outer(sigmas, u))
-    diff_kernels = pg.dsigma * (raster.mask.astype(np.complex128) @ bins)
-
-    rows = shifted_rows(window.samples, pg.shift_indices)
-    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) + (n - 1)
     out = np.zeros((n, n), dtype=np.complex128)
+
+    # row i holds samples[m + shift_i], so its block is the support shifted
+    samples = window.samples
+    kept = np.nonzero(np.abs(samples) > _SUPPORT_TOL * np.abs(samples).max())[0]
+    first, last = kept[0], kept[-1] + 1
     active = np.nonzero(raster.mask.any(axis=1))[0]
-    for i in active:
-        w = rows[i]
-        out += (w[:, None] * w.conj()[None, :]) * diff_kernels[i][idx]
-    out *= pg.dtau
+    shifts = pg.shift_indices[active]
+    lo = np.maximum(first - shifts, 0)
+    hi = np.minimum(last - shifts, n)
+    live = np.nonzero(lo < hi)[0]
+    if len(live) == 0:
+        return out
+    width = int((hi - lo)[live].max())
+
+    support = samples[first:last]
+    products = support[:, None] * support.conj()[None, :]
+    lags = grid.dt * np.arange(-(width - 1), width)
+    bins = np.exp(2j * np.pi * np.outer(pg.sigma_values, lags))
+    # weights in cell units: a whole cell is exactly 1, so the lag-0 kernel
+    # of a row is an exact count and the trace tracks the raster area
+    diff_kernels = pg.cell_area * ((raster.weights[active] / pg.cell_area) @ bins)
+    idx = (np.arange(width)[:, None] - np.arange(width)[None, :]) + (width - 1)
+    for k in live:
+        a, b = lo[k], hi[k]
+        c, m = a + shifts[k] - first, b - a  # the block's samples: support[c : c + m]
+        out[a:b, a:b] += products[c : c + m, c : c + m] * diff_kernels[k][idx[:m, :m]]
     return out
 
 
@@ -162,18 +185,31 @@ def eigendecompose(op: ConcentrationOperator) -> Spectrum:
     is PSD and norm-bounded by one, so anything worse means a broken matrix).
     Eigenfunctions are scaled to unit grid norm.
     """
+    vals, vecs = _checked_eigh(op, vectors=True)
+    return Spectrum(op, vals, vecs / np.sqrt(op.grid.dt))
+
+
+def _checked_eigh(op: ConcentrationOperator, *, vectors: bool):
+    """Descending eigenvalues of ``dt * matrix`` and, with ``vectors``, the
+    matching unit-Euclidean-norm columns (else None).
+
+    Raises NumericalError if the matrix is not Hermitian or the spectrum
+    leaves ``[0, 1]`` beyond tolerance.
+    """
     a = op.grid.dt * op.matrix
     herm_gap = float(np.abs(a - a.conj().T).max())
     if herm_gap > _HERMITIAN_TOL * max(1.0, float(np.abs(a).max())):
         raise NumericalError(f"operator matrix lost Hermitian symmetry ({herm_gap:.2e})")
-    vals, vecs = np.linalg.eigh(a)
-    vals = vals[::-1]
-    vecs = vecs[:, ::-1]
+    if vectors:
+        vals, vecs = np.linalg.eigh(a)
+        vals, vecs = vals[::-1], vecs[:, ::-1]
+    else:
+        vals, vecs = np.linalg.eigvalsh(a)[::-1], None
     if vals[-1] < -_EIG_RANGE_TOL or vals[0] > 1.0 + _EIG_RANGE_TOL:
         raise NumericalError(
             f"eigenvalues [{vals[-1]:.3e}, {vals[0]:.3e}] leave [0, 1] beyond tolerance"
         )
-    return Spectrum(op, vals, vecs / np.sqrt(op.grid.dt))
+    return vals, vecs
 
 
 def counting(spectrum: Spectrum, lam: float) -> int:
@@ -278,8 +314,15 @@ def phase_space_matrix(op: ConcentrationOperator) -> np.ndarray:
     ``B[c, c'] = dtau dsigma * K(p_c; p_{c'})`` over raster-covered cells; its
     eigenvalues coincide with the nonzero spectrum of the time-side operator
     (both are products of the same two rectangular maps, multiplied in the two
-    orders).
+    orders).  The matrix holds cells**2 complex entries, so regions of more
+    than 4096 raster cells raise CoverageError before anything is allocated.
     """
+    cells = op.raster.cell_count
+    if cells > _CELL_CAP:
+        raise CoverageError(
+            f"phase-space matrix wants {cells} cells > {_CELL_CAP}; "
+            "shrink the region or coarsen the grid"
+        )
     pg = op.phase_grid
     ii, jj = np.nonzero(op.raster.mask)
     n_tau, n_sigma = op.raster.mask.shape

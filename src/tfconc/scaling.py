@@ -18,9 +18,15 @@ import numpy as np
 import scipy.integrate
 import scipy.special
 
-from .errors import CoverageError, DomainError, NormalizationError, NumericalError
+from .errors import (
+    ConfigError,
+    CoverageError,
+    DomainError,
+    NormalizationError,
+    NumericalError,
+)
 from .grids import SampleGrid
-from .operators import assemble, eigendecompose
+from .operators import _checked_eigh, assemble
 from .regions import Rect, Region, region_label
 from .windows import Window
 
@@ -46,7 +52,12 @@ _N_CAP = 2048
 
 def _max_workers(requested: int | None, n_jobs: int) -> int:
     cap = os.environ.get("TFC_THREADS")
-    limit = int(cap) if cap else (os.cpu_count() or 1)
+    try:
+        limit = int(cap) if cap else (os.cpu_count() or 1)
+    except ValueError:
+        limit = 0
+    if limit < 1:
+        raise ConfigError(f"TFC_THREADS must be an integer >= 1, got {cap!r}")
     if requested is not None:
         limit = min(limit, requested)
     return max(1, min(limit, n_jobs))
@@ -129,9 +140,10 @@ def scaling_experiment(
     """Assemble and diagonalize across dilations, collecting counting data.
 
     ``window`` is a prototype; each scale rebuilds the same family on its own
-    auto-sized grid (fixed dt).  Scales run in a thread pool (the heavy lifting
-    is in BLAS which drops the GIL); ``TFC_THREADS`` caps the pool.  Coverage
-    failures surface per scale, tagged with the offending ``r``.
+    auto-sized grid (fixed dt) and solves for eigenvalues only.  Scales run in
+    a thread pool (the heavy lifting is in BLAS which drops the GIL);
+    ``TFC_THREADS`` caps the pool.  Coverage failures surface per scale,
+    tagged with the offending ``r``.
     """
     scales = sorted(float(r) for r in scales)
     if not scales:
@@ -155,17 +167,17 @@ def scaling_experiment(
             op = assemble(window_r, region_r)
         except CoverageError as exc:
             raise CoverageError(f"scale r={r:g}: {exc}") from exc
-        spectrum = eigendecompose(op)
-        clamped = spectrum.clamped
+        eigenvalues, _ = _checked_eigh(op, vectors=False)
+        clamped = np.clip(eigenvalues, 0.0, 1.0)
         return ScalingRow(
             r=r,
             area=region_r.area(),
             raster_area=op.raster.area,
             trace=op.trace,
-            sum_sq=float(np.sum(spectrum.eigenvalues**2)),
+            sum_sq=float(np.sum(eigenvalues**2)),
             n_lambda=int(np.sum(clamped >= lam)),
             n_plunge=int(np.sum((clamped >= lo) & (clamped <= hi))),
-            eigenvalues=spectrum.eigenvalues,
+            eigenvalues=eigenvalues,
             grid_n=grid_r.n,
         )
 

@@ -313,3 +313,18 @@ def test_thread_cap_respected(tmp_path, monkeypatch):
         ]
     )
     assert rc == 0
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+def test_bad_thread_cap(tmp_path, monkeypatch, capsys, value):
+    monkeypatch.setenv("TFC_THREADS", value)
+    rc = main(
+        [
+            "asymptotics",
+            "--region", "disc 0 0 1",
+            "--scales", "1,1.5,2",
+            "--out", str(tmp_path),
+        ]
+    )
+    assert rc == 2
+    assert "TFC_THREADS" in capsys.readouterr().err

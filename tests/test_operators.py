@@ -5,6 +5,8 @@ import pytest
 from scipy.special import gammainc
 
 import tfconc as tc
+from tfconc import operators
+from tfconc.gabor import shifted_rows
 
 from conftest import random_signal
 
@@ -32,6 +34,76 @@ def test_fast_path_matches_oracle(rng):
     fast = tc.assemble(w, region)
     slow = tc.assemble(w, region, oracle=True)
     assert np.max(np.abs(fast.matrix - slow.matrix)) < 1e-8
+
+
+def _dense_reference(window, raster):
+    """rows * n**2 assembly: every active row adds a full n x n outer product
+    times its difference kernel over all 2n - 1 lags."""
+    grid, pg = window.grid, raster.phase_grid
+    n = grid.n
+    u = grid.dt * np.arange(-(n - 1), n)
+    kernels = raster.weights @ np.exp(2j * np.pi * np.outer(pg.sigma_values, u))
+    rows = shifted_rows(window.samples, pg.shift_indices)
+    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) + (n - 1)
+    out = np.zeros((n, n), dtype=np.complex128)
+    for i in np.nonzero(raster.mask.any(axis=1))[0]:
+        out += np.outer(rows[i], rows[i].conj()) * kernels[i][idx]
+    return 0.5 * (out + out.conj().T)
+
+
+def _raster(window, region):
+    t_lo, t_hi, s_lo, s_hi = region.bounding_box()
+    pg = tc.PhaseGrid.cover(window.grid, (t_lo, t_hi), (s_lo, s_hi))
+    return tc.rasterize(region, pg)
+
+
+@pytest.mark.parametrize(
+    "family, region",
+    [
+        ("gaussian", tc.Disc((0.0, 0.0), 1.5)),
+        ("triangle", tc.Disc((0.0, 0.0), 1.0)),
+        ("gaussian", tc.Disc((1.2, -0.7), 1.0)),  # off-centre
+        ("gaussian", tc.Rect(5.0, 7.0, -1.0, 1.0)),  # rows clipped at the grid edge
+        ("triangle", tc.Rect(-7.5, -6.0, 0.0, 2.0)),  # rows clipped at the grid edge
+        ("gaussian", tc.Rect(0.0, 0.0, 0.0, 1.0)),  # empty: no active rows
+    ],
+)
+def test_blocked_assembly_matches_dense_reference(
+    family, region, gauss_window, tri_window
+):
+    window = gauss_window if family == "gaussian" else tri_window
+    raster = _raster(window, region)
+    got = tc.assemble(window, raster).matrix
+    want = _dense_reference(window, raster)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.abs(want).max()
+
+
+def test_triangle_zero_outside_support_blocks(tri_window):
+    raster = _raster(tri_window, tc.Disc((0.5, 0.0), 1.0))
+    matrix = tc.assemble(tri_window, raster).matrix
+    n = tri_window.grid.n
+    inside = np.zeros((n, n), dtype=bool)
+    rows = shifted_rows(tri_window.samples, raster.phase_grid.shift_indices)
+    for i in np.nonzero(raster.mask.any(axis=1))[0]:
+        support = np.nonzero(rows[i])[0]
+        inside[support[0] : support[-1] + 1, support[0] : support[-1] + 1] = True
+    assert not inside.all()
+    assert np.all(matrix[~inside] == 0)
+    assert matrix[inside].any()
+
+
+def test_fast_path_uses_cell_weights(rng):
+    # non-uniform weights: the fast route must weigh each cell as the oracle does
+    g = tc.SampleGrid(48, 0.25)
+    w = tc.make_window("gaussian", g)
+    raster = _raster(w, tc.Disc((0.0, 0.0), 1.0))
+    scaled = tc.RasterizedRegion(
+        raster.phase_grid, raster.weights * rng.uniform(0.1, 1.0, raster.weights.shape)
+    )
+    fast = tc.assemble(w, scaled)
+    slow = tc.assemble(w, scaled, oracle=True)
+    assert np.max(np.abs(fast.matrix - slow.matrix)) < 1e-8
+    assert fast.trace == pytest.approx(scaled.area, abs=1e-8)
 
 
 def test_trace_identity(gauss_disc_op):
@@ -99,6 +171,23 @@ def test_daubechies_closed_form(gauss_disc_spectrum):
     expect = gammainc(np.arange(1, 9), np.pi * 1.5**2)
     got = gauss_disc_spectrum.eigenvalues[:8]
     assert np.max(np.abs(got - expect)) < 5e-3
+
+
+@pytest.mark.parametrize("vectors", [True, False])
+def test_spectrum_checks_shared_by_both_routes(gauss_disc_op, vectors):
+    skew = gauss_disc_op.matrix.copy()
+    skew[0, 1] += 1.0
+    too_big = 2.0 * gauss_disc_op.matrix  # top eigenvalue near 2
+    for matrix in (skew, too_big):
+        op = tc.ConcentrationOperator(gauss_disc_op.window, gauss_disc_op.raster, matrix)
+        with pytest.raises(tc.NumericalError):
+            operators._checked_eigh(op, vectors=vectors)
+
+
+def test_eigenvalues_only_route_matches(gauss_disc_op, gauss_disc_spectrum):
+    vals, vecs = operators._checked_eigh(gauss_disc_op, vectors=False)
+    assert vecs is None
+    assert np.max(np.abs(vals - gauss_disc_spectrum.eigenvalues)) < 1e-12
 
 
 def test_counting_semantics():
@@ -215,3 +304,20 @@ def test_phase_space_side_spectrum():
 def test_assemble_region_exceeds_grid(gauss_window):
     with pytest.raises(tc.CoverageError):
         tc.assemble(gauss_window, tc.Disc((0.0, 0.0), 8.0))
+
+
+def test_phase_space_matrix_cell_cap(gauss_window, monkeypatch):
+    # full cover: 225 x 225 cells, far past the cap; must fail before any work
+    pg = tc.PhaseGrid.full_cover(gauss_window.grid)
+    raster = tc.RasterizedRegion(pg, np.full(pg.shape, pg.cell_area))
+    n = gauss_window.grid.n
+    op = tc.ConcentrationOperator(gauss_window, raster, np.zeros((n, n)))
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("ambiguity table built before the size guard")
+
+    monkeypatch.setattr(operators, "ambiguity_table", no_table)
+    with pytest.raises(tc.CoverageError, match="cells"):
+        tc.phase_space_matrix(op)
+    with pytest.raises(tc.CoverageError):
+        tc.phase_space_eigenvalues(op)
