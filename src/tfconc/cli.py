@@ -8,8 +8,10 @@ the configuration was rejected, 3 means a numerical invariant broke mid-run.
 
 Configuration comes from flags, optionally backed by a ``key=value`` file
 (flags win).  Every artifact embeds the tool version and a hash of the
-effective configuration, and identical configurations produce byte-identical
-files.
+effective configuration.  Identical configurations produce byte-identical
+files on the same machine with the same BLAS thread count; a different
+thread count can change the last digits of eigenvalues and the basis chosen
+inside near-degenerate eigenvalue clusters.
 """
 
 from __future__ import annotations
@@ -113,8 +115,18 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, help="seed recorded in the config hash")
         sp.add_argument("--config", help="key=value file; explicit flags win")
         sp.add_argument("--scales", help="comma-separated dilation factors")
-        sp.add_argument("--lambda", dest="lam", type=float, help="lower threshold")
-        sp.add_argument("--mu", type=float, help="upper threshold")
+        sp.add_argument(
+            "--lambda",
+            dest="lam",
+            type=float,
+            help="lower end of the plunge band (asymptotics, default 0.1); "
+            "n_lambda always counts eigenvalues >= 0.5",
+        )
+        sp.add_argument(
+            "--mu",
+            type=float,
+            help="upper end of the plunge band (asymptotics, default 0.9)",
+        )
         sp.add_argument("--epsilon", type=float, help="decay slack exponent")
         sp.add_argument("--rank", type=int, help="eigenfunction count")
         sp.add_argument("--input", help="input signal CSV")

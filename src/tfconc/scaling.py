@@ -27,7 +27,7 @@ from .errors import (
 )
 from .grids import SampleGrid
 from .operators import _checked_eigh, assemble
-from .regions import Rect, Region, region_label
+from .regions import Disc, Rect, Region, region_label
 from .windows import Window
 
 __all__ = [
@@ -271,7 +271,9 @@ class GaussianDensity:
     """Centered isotropic Gaussian probability density on the plane.
 
     ``amplitude`` rescales the total mass away from 1 -- useful only for
-    exercising the normalization guard.
+    exercising the normalization guard.  Masses over rectangles
+    (``mass_on_rect``) and discs (``mass_on_disc``) are exact, which gives
+    ``autocorr_integral`` its exact inner integral on those regions.
     """
 
     sigma: float = 1.0
@@ -300,6 +302,22 @@ class GaussianDensity:
             return 0.5 * (1.0 + scipy.special.erf(np.asarray(z) / root2))
 
         return self.amplitude * (cdf(x_hi) - cdf(x_lo)) * (cdf(y_hi) - cdf(y_lo))
+
+    def mass_on_disc(self, x0, y0, radius):
+        """Exact integral over the disc of ``radius`` centred at ``(x0, y0)``.
+
+        For ``u`` drawn from this density, ``|u - (x0, y0)|^2 / sigma^2`` is
+        noncentral chi-squared with 2 degrees of freedom and noncentrality
+        ``(x0^2 + y0^2) / sigma^2``; the mass is ``amplitude`` times its CDF
+        at ``radius^2 / sigma^2``.  Arguments broadcast together.
+        """
+        s2 = self.sigma**2
+        x0 = np.asarray(x0, dtype=float)
+        y0 = np.asarray(y0, dtype=float)
+        radius = np.asarray(radius, dtype=float)
+        return self.amplitude * scipy.special.chndtr(
+            radius * radius / s2, 2.0, (x0 * x0 + y0 * y0) / s2
+        )
 
 
 #: Width at which GaussianDensity equals exp(-pi (x^2+y^2)) -- the spectrogram
@@ -368,6 +386,33 @@ def _check_density(f) -> None:
         raise NormalizationError(f"density mass {mass!r} is not 1 within 1e-6")
 
 
+def _sampled_inner_sum(f, q: Region, r: float, ex, ey, u_per_axis: int) -> float:
+    """Sum over outer points ``eta`` of the sampled mass of ``f`` on ``r(Q - eta)``.
+
+    ``f`` is sampled on a ``u_per_axis``-square midpoint lattice over its
+    extent; each outer point tests every kept sample for membership in ``Q``,
+    128 outer points at a time.
+    """
+    extent = float(getattr(f, "extent", 10.0))
+    h_u = 2.0 * extent / u_per_axis
+    u = -extent + (np.arange(u_per_axis) + 0.5) * h_u
+    uu, vv = np.meshgrid(u, u, indexing="ij")
+    f_vals = (f(uu, vv) * h_u * h_u).ravel()
+    if np.min(f_vals) < -1e-12:
+        raise DomainError("density takes negative values")
+    keep = f_vals > 1e-18 * max(f_vals.max(), 1e-300)
+    du_x = (uu.ravel()[keep]) / r
+    du_y = (vv.ravel()[keep]) / r
+    f_keep = f_vals[keep]
+
+    total = 0.0
+    for start in range(0, len(ex), 128):
+        px = ex[start : start + 128, None] + du_x[None, :]
+        py = ey[start : start + 128, None] + du_y[None, :]
+        total += float(np.sum(q.contains(px, py).astype(float) @ f_keep))
+    return total
+
+
 def autocorr_integral(
     f,
     q: Region,
@@ -379,9 +424,12 @@ def autocorr_integral(
     """``r^-2`` times the double integral of ``f(x - y)`` over ``rQ x rQ``.
 
     Computed in the substituted form: the outer variable runs over ``Q`` on a
-    midpoint lattice, the inner integral of ``f`` over ``r(Q - eta)`` is exact
-    (erf products) for rectangles with analytic densities, else a sampled sum
-    over the density's support.  The value can never exceed ``area(Q)`` since
+    midpoint lattice, and the inner integral of ``f`` over ``r(Q - eta)`` is
+    exact for densities that know their mass on the region -- erf products
+    (``mass_on_rect``) for rectangles, a noncentral chi-squared CDF
+    (``mass_on_disc``) for discs, one call per lattice point.  Anything else
+    takes a sampled sum over the density's support, ``u_per_axis^2`` point
+    tests per lattice point.  The value can never exceed ``area(Q)`` since
     each inner mass is at most the density's total.
     """
     if not r > 0:
@@ -407,30 +455,16 @@ def autocorr_integral(
         value = float(hx * hy * masses.sum())
         bound = area
     else:
-        extent = float(getattr(f, "extent", 10.0))
-        h_u = 2.0 * extent / u_per_axis
-        u = -extent + (np.arange(u_per_axis) + 0.5) * h_u
-        uu, vv = np.meshgrid(u, u, indexing="ij")
-        f_vals = (f(uu, vv) * h_u * h_u).ravel()
-        if np.min(f_vals) < -1e-12:
-            raise DomainError("density takes negative values")
-        keep = f_vals > 1e-18 * max(f_vals.max(), 1e-300)
-        du_x = (uu.ravel()[keep]) / r
-        du_y = (vv.ravel()[keep]) / r
-        f_keep = f_vals[keep]
-
         ex, ey = np.meshgrid(eta_x, eta_y, indexing="ij")
-        centers = np.column_stack([ex.ravel(), ey.ravel()])
-        inside_q = q.contains(centers[:, 0], centers[:, 1])
-        centers = centers[inside_q]
-        total = 0.0
-        for start in range(0, len(centers), 128):
-            batch = centers[start : start + 128]
-            px = batch[:, 0][:, None] + du_x[None, :]
-            py = batch[:, 1][:, None] + du_y[None, :]
-            total += float(np.sum(q.contains(px, py).astype(float) @ f_keep))
-        value = hx * hy * total
+        inside_q = q.contains(ex, ey)
+        ex, ey = ex[inside_q], ey[inside_q]
         bound = max(area, float(np.sum(inside_q)) * hx * hy)
+        if isinstance(q, Disc) and hasattr(f, "mass_on_disc"):
+            cx, cy = q.center
+            masses = f.mass_on_disc(r * (cx - ex), r * (cy - ey), r * q.radius)
+            value = float(hx * hy * masses.sum())
+        else:
+            value = hx * hy * _sampled_inner_sum(f, q, r, ex, ey, u_per_axis)
 
     if value > bound * (1.0 + 1e-6):
         raise NumericalError(

@@ -59,6 +59,30 @@ def test_spectrum_deterministic_rerun(tmp_path):
         assert (tmp_path / name).read_bytes() == blob
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["autocorr", "--region", "disc 0.1 -0.2 0.6", "--scales", "2,8",
+         "--p", "1", "--C", "2.5"],
+        ["spectrum", "--region", "disc 0 0 1", "--grid", "49,0.25", "--rank", "3"],
+    ],
+)
+def test_rerun_writes_identical_artifacts(tmp_path, monkeypatch, argv):
+    # the determinism promise: same machine, same BLAS threads, same bytes.
+    # The output directory is part of the hashed configuration, so both runs
+    # write to "." from two different working directories.
+    first, second = tmp_path / "first", tmp_path / "second"
+    for cwd in (first, second):
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        assert main(argv) == 0
+    names = sorted(p.name for p in first.iterdir())
+    assert names == sorted(p.name for p in second.iterdir())
+    assert len(names) >= 2
+    for name in names:
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
 def test_spectrum_eigenfunction_export(tmp_path):
     rc = main(
         [

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import erf
 
 import tfconc as tc
+from tfconc.scaling import _disc_mass
 
 # closed-form autocorrelation for the unit square with an isotropic Gaussian:
 # the integral factorizes per axis into
@@ -27,6 +29,37 @@ def _square_autocorr(sigma, r):
         1.0 - math.exp(-(r**2) / (2.0 * sigma**2))
     )
     return f * f
+
+
+def _lens(s, a):
+    """Area shared by two discs of radius ``a`` whose centres are ``s`` apart."""
+    if s >= 2.0 * a:
+        return 0.0
+    return 2.0 * a * a * math.acos(s / (2.0 * a)) - 0.5 * s * math.sqrt(4.0 * a * a - s * s)
+
+
+def _disc_autocorr(sigma, a, r):
+    # for a disc Q of radius a the autocorrelation reduces to one radial
+    # integral: f(rho) times the lens area |Q & (Q + rho/r)|, over the plane
+    def integrand(rho):
+        density = math.exp(-rho * rho / (2.0 * sigma**2)) / (2.0 * math.pi * sigma**2)
+        return density * _lens(rho / r, a) * 2.0 * math.pi * rho
+
+    value, _ = quad(integrand, 0.0, min(2.0 * a * r, 40.0 * sigma), limit=200)
+    return value
+
+
+def _count_calls(monkeypatch, cls):
+    """Wrap ``cls.contains`` to record the number of points of every call."""
+    sizes = []
+    original = cls.contains
+
+    def counted(self, tau, sigma):
+        sizes.append(int(np.size(tau)))
+        return original(self, tau, sigma)
+
+    monkeypatch.setattr(cls, "contains", counted)
+    return sizes
 
 
 @pytest.fixture(scope="module")
@@ -175,6 +208,45 @@ def test_gaussian_density_values():
         tc.GaussianDensity(sigma=0.0)
 
 
+def test_mass_on_disc_centred_closed_form():
+    rho = np.linspace(0.0, 5.0, 41)
+    for sigma, amplitude in [(1.0, 1.0), (0.3, 1.0), (tc.SELF_DUAL_SIGMA, 0.7)]:
+        d = tc.GaussianDensity(sigma=sigma, amplitude=amplitude)
+        expect = amplitude * -np.expm1(-(rho**2) / (2.0 * sigma**2))
+        got = d.mass_on_disc(0.0, 0.0, rho)
+        assert np.max(np.abs(got - expect)) <= 1e-14
+
+
+def test_mass_on_disc_limits():
+    d = tc.GaussianDensity(sigma=0.5, amplitude=0.8)
+    # a disc covering the whole plane holds the total mass
+    assert d.mass_on_disc(1.0, -2.0, 1e3) == pytest.approx(0.8, abs=1e-15)
+    # a unit disc 50 sigma away holds essentially nothing
+    assert 0.0 <= d.mass_on_disc(25.0, 0.0, 0.5) < 1e-200
+
+
+def test_mass_on_disc_off_centre_matches_polar_quadrature():
+    for sigma in (1.0, tc.SELF_DUAL_SIGMA):
+        d = tc.GaussianDensity(sigma=sigma)
+        for x0, y0, radius in [(0.5, 0.0, 1.0), (-0.3, 0.8, 0.4), (1.2, -1.5, 2.5)]:
+            x0, y0, radius = x0 * sigma, y0 * sigma, radius * sigma
+            shifted = tc.CustomDensity(lambda x, y: d(x + x0, y + y0), extent=d.extent)
+            assert d.mass_on_disc(x0, y0, radius) == pytest.approx(
+                _disc_mass(shifted, radius), abs=1e-10
+            )
+
+
+def test_mass_on_disc_broadcasts():
+    d = tc.standard_density()
+    x0 = np.array([[0.0], [0.5]])
+    y0 = np.array([0.0, 0.25, -1.0])
+    got = d.mass_on_disc(x0, y0, 0.75)
+    assert got.shape == (2, 3)
+    for i in range(2):
+        for j in range(3):
+            assert got[i, j] == d.mass_on_disc(x0[i, 0], y0[j], 0.75)
+
+
 def test_standard_density_is_self_dual():
     d = tc.standard_density()
     assert d.sigma == pytest.approx(tc.SELF_DUAL_SIGMA)
@@ -257,6 +329,79 @@ def test_autocorr_sampled_path_matches_analytic():
         d, square_poly, 4.0, eta_per_axis=32, u_per_axis=48
     )
     assert sampled == pytest.approx(exact, abs=0.02)
+
+
+@pytest.mark.parametrize(
+    "sigma, center, radius",
+    [
+        (tc.SELF_DUAL_SIGMA, (0.0, 0.0), 0.6),
+        (tc.SELF_DUAL_SIGMA, (0.25, -0.4), 0.6),
+        (tc.SELF_DUAL_SIGMA, (1.0, 0.5), 0.75),
+        (1.0, (0.0, 0.0), 0.6),
+    ],
+)
+def test_autocorr_disc_lens_oracle(sigma, center, radius):
+    # the exact inner mass leaves only the 128^2 outer lattice's error, which
+    # is ~1.7e-3 for radius 0.75 and shrinks with the radius
+    d = tc.GaussianDensity(sigma=sigma)
+    q = tc.Disc(center, radius)
+    for r in (1.0, 2.0, 4.0, 8.0, 16.0):
+        assert tc.autocorr_integral(d, q, r) == pytest.approx(
+            _disc_autocorr(sigma, radius, r), abs=2.5e-3
+        )
+
+
+def test_autocorr_disc_translation_invariant():
+    d = tc.standard_density()
+    for r in (2.0, 8.0):
+        a = tc.autocorr_integral(d, tc.Disc((0.0, 0.0), 0.7), r)
+        b = tc.autocorr_integral(d, tc.Disc((-1.3, 0.45), 0.7), r)
+        assert a == pytest.approx(b, rel=1e-10)
+
+
+def test_autocorr_disc_exact_matches_sampled():
+    # the same Gaussian behind a plain callable has no mass_on_disc, so it
+    # takes the sampled route over the same outer lattice; what is left is
+    # the sampled route's own inner error (up to ~1.6e-4 on these cases)
+    d = tc.standard_density()
+    wrapped = tc.CustomDensity(d, extent=d.extent)
+    cases = [((0.0, 0.0), 0.6, 4.0), ((0.0, 0.0), 0.6, 8.0),
+             ((0.3, -0.2), 0.9, 2.0), ((0.3, -0.2), 0.9, 16.0)]
+    for center, radius, r in cases:
+        q = tc.Disc(center, radius)
+        exact = tc.autocorr_integral(d, q, r)
+        sampled = tc.autocorr_integral(wrapped, q, r)
+        assert exact == pytest.approx(sampled, abs=5e-4)
+
+
+def test_autocorr_disc_route_tests_points_once(monkeypatch):
+    # structural guard: the exact disc route selects the outer lattice with
+    # one contains() call and never samples the inner integral
+    sizes = _count_calls(monkeypatch, tc.Disc)
+    d = tc.standard_density()
+    q = tc.Disc((0.2, 0.1), 0.6)
+    for r in (2.0, 16.0):
+        sizes.clear()
+        tc.autocorr_integral(d, q, r)
+        assert sizes == [128 * 128]
+    sizes.clear()
+    tc.autocorr_integral(d, q, 4.0, eta_per_axis=40)
+    assert sizes == [40 * 40]
+
+
+def test_autocorr_polygon_takes_sampled_route(monkeypatch):
+    sizes = _count_calls(monkeypatch, tc.Polygon)
+    triangle = tc.Polygon(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+    eta = 24
+    tc.autocorr_integral(tc.standard_density(), triangle, 2.0, eta_per_axis=eta,
+                         u_per_axis=32)
+    assert sizes[0] == eta * eta
+    h = 1.0 / eta
+    centres = (np.arange(eta) + 0.5) * h
+    inside = int(np.sum(triangle.contains(*np.meshgrid(centres, centres, indexing="ij"))))
+    # one lattice selection, then one batch of up to 128 centres at a time
+    assert len(sizes) == 2 + math.ceil(inside / 128)
+    assert all(n > 128 for n in sizes[1:-1])
 
 
 def test_decay_condition_gaussian_tail():
