@@ -43,9 +43,7 @@ from .operators import (
     ConcentrationOperator,
     Spectrum,
     assemble,
-    count_at_least,
-    count_between,
-    counting,
+    count,
     eigendecompose,
     eigenfilter,
     energy,
@@ -134,9 +132,7 @@ __all__ = [
     "Spectrum",
     "assemble",
     "eigendecompose",
-    "counting",
-    "count_at_least",
-    "count_between",
+    "count",
     "trace_identity",
     "hs_identity",
     "energy",

@@ -203,7 +203,8 @@ def _parse_scales(text: str | None, default: str) -> list[float]:
     return scales
 
 
-def _parse_window_spec(text: str) -> tuple[str, float | None, str | None]:
+def _parse_window_spec(text: str) -> tuple[str, float, str | None]:
+    """``(family, c, csv path)``; ``c`` is pi unless a gaussian names another."""
     head, _, rest = text.strip().partition(":")
     family = head.strip().lower()
     if family == "gaussian":
@@ -218,11 +219,11 @@ def _parse_window_spec(text: str) -> tuple[str, float | None, str | None]:
             raise ConfigError(f"gaussian parameter must be positive, got {c}")
         return "gaussian", c, None
     if family == "triangle":
-        return "triangle", None, None
+        return "triangle", math.pi, None
     if family == "custom":
         if not rest:
             raise ConfigError("custom window needs a csv path: custom:<path>")
-        return "custom", None, rest
+        return "custom", math.pi, rest
     raise ConfigError(f"unknown window family {head!r}")
 
 
@@ -237,40 +238,39 @@ def _parse_grid_spec(text: str) -> SampleGrid | None:
         raise ConfigError(f"bad grid spec {text!r} (want 'auto' or 'N,dt'): {exc}") from exc
 
 
-def _build_window(args, region: Region) -> Window:
-    """Window on the configured (or auto-sized) grid."""
+def _window(args, grid: SampleGrid | None = None) -> Window:
+    """The ``--window`` spec placed on ``grid``.
+
+    Without a grid a stock family lands on its bootstrap grid (a prototype to
+    rebuild) and a custom window on the grid of its CSV; with one, the CSV's
+    grid must be compatible with it.
+    """
     family, c, path = _parse_window_spec(args.window)
-    explicit = _parse_grid_spec(args.grid)
-    if family == "custom":
-        sig = io.read_signal_csv(path)
-        if explicit is not None and not grids_compatible(explicit, sig.grid):
-            raise ConfigError(
-                f"--grid {args.grid} does not match the grid of {path} "
-                f"(n={sig.grid.n}, dt={sig.grid.dt:.17g})"
-            )
-        return make_window("custom", sig.grid, samples=sig.samples)
-    if explicit is not None:
-        return make_window(family, explicit, c=c if c is not None else math.pi)
-    prototype = make_window(
-        family, bootstrap_grid(family, c if c is not None else math.pi),
-        c=c if c is not None else math.pi,
-    )
-    return prototype.rebuild(auto_grid(prototype, region))
+    if family != "custom":
+        return make_window(family, grid or bootstrap_grid(family, c), c=c)
+    sig = io.read_signal_csv(path)
+    if grid is None:
+        grid = sig.grid
+    elif not grids_compatible(grid, sig.grid):
+        raise ConfigError(
+            f"the grid of {path} (n={sig.grid.n}, dt={sig.grid.dt:.17g}) does not "
+            f"match the grid in use (n={grid.n}, dt={grid.dt:.17g})"
+        )
+    return make_window("custom", grid, samples=sig.samples)
 
 
-def _window_prototype(args) -> Window:
-    family, c, _ = _parse_window_spec(args.window)
-    if family == "custom":
-        raise ConfigError("scaling sweeps need a rebuildable window family")
-    return make_window(
-        family, bootstrap_grid(family, c if c is not None else math.pi),
-        c=c if c is not None else math.pi,
-    )
+def _window_for(args, region: Region) -> Window:
+    """The window on ``--grid``, else on a grid auto-sized for ``region``."""
+    grid = _parse_grid_spec(args.grid)
+    window = _window(args, grid)
+    if grid is None and window.family != "custom":
+        window = window.rebuild(auto_grid(window, region))
+    return window
 
 
 def cmd_spectrum(args) -> int:
     region = parse_region(args.region)
-    window = _build_window(args, region)
+    window = _window_for(args, region)
     op = assemble(window, region, oracle=bool(args.oracle))
     spectrum = eigendecompose(op)
 
@@ -302,7 +302,9 @@ def cmd_spectrum(args) -> int:
 
 def cmd_asymptotics(args) -> int:
     region = parse_region(args.region)
-    prototype = _window_prototype(args)
+    prototype = _window(args)
+    if prototype.family == "custom":
+        raise ConfigError("scaling sweeps need a rebuildable window family")
     scales = _parse_scales(args.scales, "1,1.5,2,3,4")
     lam = args.lam if args.lam is not None else 0.1
     mu = args.mu if args.mu is not None else 0.9
@@ -355,14 +357,14 @@ def _decay_rows(window: Window, spectrum, region: Region, epsilon: float):
 
 def cmd_decay(args) -> int:
     region = parse_region(args.region)
-    window = _build_window(args, region)
+    window = _window_for(args, region)
     op = assemble(window, region, oracle=bool(args.oracle))
     spectrum = eigendecompose(op)
 
     vanish = kernel_vanishing_check(window, op)
     vanish_status = "skipped" if vanish is None else ("pass" if vanish else "fail")
     rows = _decay_rows(window, spectrum, region, args.epsilon)
-    fourier = fourier_side_check(window, region, k_max=8)
+    fourier = fourier_side_check(spectrum, region, k_max=8)
 
     out = Path(args.out)
     io.write_decay_csv(out / "decay.csv", rows, args.tag)
@@ -375,8 +377,9 @@ def cmd_decay(args) -> int:
         "rows": len(rows),
     }
 
-    family, c, _ = _parse_window_spec(args.window)
-    is_pi_gaussian = family == "gaussian" and math.isclose(c, math.pi, rel_tol=1e-12)
+    is_pi_gaussian = window.family == "gaussian" and math.isclose(
+        window.parameter, math.pi, rel_tol=1e-12
+    )
     if is_pi_gaussian and isinstance(region, Disc) and region.center == (0.0, 0.0):
         bench = hermite_benchmark(math.pi, region.radius, k_max=6)
         herm_rows = []
@@ -407,14 +410,7 @@ def cmd_filter(args) -> int:
     if args.rank is None or args.rank < 1:
         raise ConfigError(f"filter needs --rank >= 1, got {args.rank}")
     signal = io.read_signal_csv(args.input)
-    family, c, path = _parse_window_spec(args.window)
-    if family == "custom":
-        ref = io.read_signal_csv(path)
-        if not grids_compatible(ref.grid, signal.grid):
-            raise ConfigError("custom window grid does not match the input signal grid")
-        window = make_window("custom", signal.grid, samples=ref.samples)
-    else:
-        window = make_window(family, signal.grid, c=c if c is not None else math.pi)
+    window = _window(args, signal.grid)
     region = parse_region(args.region)
     op = assemble(window, region, oracle=bool(args.oracle))
     spectrum = eigendecompose(op)

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DomainError, UnsupportedCaseError
 from .grids import Signal, fourier_transform, inverse_fourier_transform
 from .hermite import hermite_samples
-from .operators import ConcentrationOperator, assemble, eigendecompose
+from .operators import ConcentrationOperator, Spectrum, assemble, eigendecompose
 from .regions import Disc, Region
 from .scaling import auto_grid
 from .windows import Window, bootstrap_grid, make_window
@@ -267,31 +267,32 @@ def _principal_cosine(a: np.ndarray, b: np.ndarray, dx: float) -> float:
     return float(np.linalg.svd(dx * (a.conj().T @ b), compute_uv=False).min())
 
 
-def fourier_side_check(window: Window, region: Region, k_max: int = 12) -> dict:
-    """Cross-check the operator against its Fourier-side twin.
+def fourier_side_check(spectrum: Spectrum, region: Region, k_max: int = 12) -> dict:
+    """Cross-check an operator's spectrum against its Fourier-side twin.
 
-    The transformed window on the dual grid, concentrated on the quarter-turned
-    region, must reproduce the spectrum; eigenspaces are compared cluster by
-    cluster (principal angles between the transformed eigenfunctions and the
-    dual-side ones).  Only clusters above 1e-3 enter the space comparison --
-    below that the spans are numerically unstable while the eigenvalue
-    comparison is still meaningful.
+    ``spectrum`` is the decomposition of the operator for ``region``; its
+    window, transformed onto the dual grid and concentrated on the
+    quarter-turned region, must reproduce the spectrum.  Eigenspaces are
+    compared cluster by cluster (principal angles between the transformed
+    eigenfunctions and the dual-side ones).  Only clusters above 1e-3 enter
+    the space comparison -- below that the spans are numerically unstable
+    while the eigenvalue comparison is still meaningful.
     """
-    spec1 = eigendecompose(assemble(window, region))
+    window = spectrum.operator.window
     hat = fourier_transform(window.signal)
     hat = Signal(hat.grid, hat.samples / hat.norm)
     window_hat = Window(hat, "custom", None)
-    spec2 = eigendecompose(assemble(window_hat, region.fourier_rotate()))
+    twin = eigendecompose(assemble(window_hat, region.fourier_rotate()))
 
-    k = min(k_max, len(spec1.eigenvalues), len(spec2.eigenvalues))
-    lam1 = spec1.eigenvalues[:k]
-    lam2 = spec2.eigenvalues[:k]
+    k = min(k_max, len(spectrum.eigenvalues), len(twin.eigenvalues))
+    lam1 = spectrum.eigenvalues[:k]
+    lam2 = twin.eigenvalues[:k]
     compare = np.maximum(lam1, lam2) > 1e-6
     gap = float(np.max(np.abs(lam1 - lam2)[compare])) if np.any(compare) else 0.0
 
     defect = 0.0
     dual_dt = window.grid.dual.dt
-    for cluster in _clusters(spec1.eigenvalues, k, floor=1e-3):
+    for cluster in _clusters(spectrum.eigenvalues, k, floor=1e-3):
         if cluster.stop > k:
             break
         # the quarter turn used here is the *preimage* map, so eigenfunctions
@@ -299,11 +300,11 @@ def fourier_side_check(window: Window, region: Region, k_max: int = 12) -> dict:
         # mirrored region instead, which only matches for symmetric regions)
         transported = np.column_stack(
             [
-                inverse_fourier_transform(spec1.eigenfunction(j)).samples
+                inverse_fourier_transform(spectrum.eigenfunction(j)).samples
                 for j in cluster
             ]
         )
-        native = spec2.eigenfunctions[:, cluster.start : cluster.stop]
+        native = twin.eigenfunctions[:, cluster.start : cluster.stop]
         defect = max(defect, 1.0 - _principal_cosine(transported, native, dual_dt))
     return {"max_eigenvalue_gap": gap, "max_overlap_defect": defect}
 

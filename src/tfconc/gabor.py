@@ -12,13 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatchError
-from .grids import SampleGrid, Signal, grids_compatible
+from .grids import _REL_TOL, SampleGrid, Signal, _require_same_grid, _shifted
 from .windows import Window
 
 __all__ = ["PhaseGrid", "GaborCoefficients", "analyze", "synthesize", "shifted_rows"]
-
-_REL_TOL = 1e-9
 
 
 def _uniform_step(values: np.ndarray, what: str) -> float:
@@ -175,18 +172,10 @@ def shifted_rows(samples: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     Row semantics match :func:`tfconc.grids.tf_shift`: ``out[i, m] =
     samples[m + shifts[i]]`` with zeros where the index leaves the array.
     """
-    n = len(samples)
-    out = np.zeros((len(shifts), n), dtype=np.complex128)
+    out = np.zeros((len(shifts), len(samples)), dtype=np.complex128)
     for i, m in enumerate(shifts):
-        a, b = max(0, -m), min(n, n - m)
-        if a < b:
-            out[i, a:b] = samples[a + m : b + m]
+        out[i] = _shifted(samples, m)
     return out
-
-
-def _check_same_grid(a: SampleGrid, b: SampleGrid, what: str) -> None:
-    if not grids_compatible(a, b):
-        raise GridMismatchError(f"{what}: signal and window grids differ")
 
 
 def analyze(f: Signal, window: Window, phase_grid: PhaseGrid) -> GaborCoefficients:
@@ -197,8 +186,8 @@ def analyze(f: Signal, window: Window, phase_grid: PhaseGrid) -> GaborCoefficien
     rearrangement of the defining inner product.
     """
     grid = f.grid
-    _check_same_grid(grid, window.grid, "analyze")
-    _check_same_grid(grid, phase_grid.grid, "analyze")
+    _require_same_grid(grid, window.grid, "analyze")
+    _require_same_grid(grid, phase_grid.grid, "analyze")
     taus = phase_grid.tau_values
     sigmas = phase_grid.sigma_values
     n_sigma = len(sigmas)
@@ -221,7 +210,7 @@ def synthesize(coeffs: GaborCoefficients, window: Window) -> Signal:
     """
     pg = coeffs.phase_grid
     grid = pg.grid
-    _check_same_grid(grid, window.grid, "synthesize")
+    _require_same_grid(grid, window.grid, "synthesize")
     taus = pg.tau_values
     sigmas = pg.sigma_values
     q = len(sigmas)

@@ -20,7 +20,6 @@ __all__ = [
     "Signal",
     "grids_compatible",
     "inner_product",
-    "norm",
     "fourier_transform",
     "inverse_fourier_transform",
     "tf_shift",
@@ -133,10 +132,6 @@ def inner_product(f: Signal, g: Signal) -> complex:
     return complex(f.grid.dt * np.vdot(g.samples, f.samples))
 
 
-def norm(f: Signal) -> float:
-    return f.norm
-
-
 # -- phase-corrected FFT cores ------------------------------------------------
 #
 # Both helpers evaluate exact Riemann sums on grids whose frequency offset is
@@ -210,12 +205,16 @@ def tf_shift(f: Signal, tau: float, sigma: float) -> Signal:
     shifted in -- the grid models the real line, not the circle, so no wrap.
     """
     grid = f.grid
-    m = grid.shift_index(tau)
-    n = grid.n
-    out = np.zeros(n, dtype=np.complex128)
-    a = max(0, -m)
-    b = min(n, n - m)
-    if a < b:
-        out[a:b] = f.samples[a + m : b + m]
+    out = _shifted(f.samples, grid.shift_index(tau))
     phase = np.exp(1j * np.pi * tau * sigma + 2j * np.pi * sigma * grid.times)
     return Signal(grid, phase * out)
+
+
+def _shifted(samples: np.ndarray, m: int) -> np.ndarray:
+    """``out[k] = samples[k + m]``, zero where ``k + m`` leaves the array."""
+    n = len(samples)
+    out = np.zeros(n, dtype=np.complex128)
+    a, b = max(0, -m), min(n, n - m)
+    if a < b:
+        out[a:b] = samples[a + m : b + m]
+    return out

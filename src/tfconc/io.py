@@ -1,4 +1,4 @@
-"""Artifact formats: CSV (plot-ready), JSON summaries, raw binary dumps.
+"""Artifact formats: CSV (plot-ready) and JSON summaries.
 
 Every text artifact starts with ``# tfc <version> config=<hash>`` so a stray
 file can be traced back to the exact run that produced it.  Floats are written
@@ -16,29 +16,21 @@ import numpy as np
 
 from ._version import __version__
 from .errors import ConfigError
-from .grids import SampleGrid, Signal
+from .grids import _REL_TOL, SampleGrid, Signal
 
 __all__ = [
     "config_hash",
     "write_csv",
     "read_signal_csv",
     "write_signal_csv",
-    "read_signal_raw",
-    "write_signal_raw",
-    "write_coefficients_csv",
-    "write_power_csv",
     "write_spectrum_csv",
     "write_scaling_csv",
     "write_decay_csv",
     "write_hermite_csv",
     "write_autocorr_csv",
-    "write_operator_binary",
     "read_mask_csv",
-    "write_mask_csv",
     "write_json",
 ]
-
-_REL_TOL = 1e-9
 
 
 def config_hash(config: dict) -> str:
@@ -143,45 +135,8 @@ def read_signal_csv(path) -> Signal:
     return Signal(SampleGrid(n, float(dt)), np.array(res) + 1j * np.array(ims))
 
 
-def write_signal_raw(path, signal: Signal) -> None:
-    """Little-endian float64, re/im interleaved (complex128 layout)."""
-    signal.samples.astype("<c16").tofile(path)
-
-
-def read_signal_raw(path, dt: float) -> Signal:
-    """Inverse of :func:`write_signal_raw`; the time step is not stored."""
-    flat = np.fromfile(path, dtype="<f8")
-    if len(flat) % 2 or len(flat) < 4:
-        raise ConfigError(
-            f"{path}: raw signal must hold an even number (>= 4) of float64 values"
-        )
-    samples = flat[0::2] + 1j * flat[1::2]
-    return Signal(SampleGrid(len(samples), dt), samples)
-
-
 # ---------------------------------------------------------------------------
-# phase-space tables
-
-
-def write_coefficients_csv(path, coeffs, tag: str = "-") -> None:
-    pg = coeffs.phase_grid
-    rows = (
-        (tau, sigma, val.real, val.imag)
-        for i, tau in enumerate(pg.tau_values)
-        for sigma, val in zip(pg.sigma_values, coeffs.values[i])
-    )
-    write_csv(path, ("tau", "sigma", "re", "im"), rows, tag)
-
-
-def write_power_csv(path, coeffs, tag: str = "-") -> None:
-    pg = coeffs.phase_grid
-    power = np.abs(coeffs.values) ** 2
-    rows = (
-        (tau, sigma, power[i, j])
-        for i, tau in enumerate(pg.tau_values)
-        for j, sigma in enumerate(pg.sigma_values)
-    )
-    write_csv(path, ("tau", "sigma", "power"), rows, tag)
+# tables
 
 
 def write_spectrum_csv(path, eigenvalues, tag: str = "-") -> None:
@@ -211,22 +166,8 @@ def write_autocorr_csv(path, rows, tag: str = "-") -> None:
     write_csv(path, ("r", "value"), rows, tag)
 
 
-def write_operator_binary(path, matrix: np.ndarray) -> None:
-    """Row-major little-endian float64, re/im interleaved, full Hermitian."""
-    np.ascontiguousarray(matrix).astype("<c16").tofile(path)
-
-
 # ---------------------------------------------------------------------------
 # masks
-
-
-def write_mask_csv(path, mask_region, tag: str = "-") -> None:
-    rows = (
-        (tau, sigma, bool(mask_region.inside[i, j]))
-        for i, tau in enumerate(mask_region.tau_values)
-        for j, sigma in enumerate(mask_region.sigma_values)
-    )
-    write_csv(path, ("tau", "sigma", "inside"), rows, tag)
 
 
 def read_mask_csv(path):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .gabor import GaborCoefficients, PhaseGrid, analyze, synthesize
-from .grids import Signal, _forward_sum, inner_product, tf_shift
+from .grids import Signal, _forward_sum, _shifted, inner_product, tf_shift
 from .windows import Window
 
 __all__ = ["ambiguity", "ambiguity_table", "kernel", "project"]
@@ -44,12 +44,7 @@ def ambiguity_table(
     phi = window.samples
     out = np.empty((len(taus), len(sigmas)), dtype=np.complex128)
     for i, tau in enumerate(taus):
-        m = grid.shift_index(tau)
-        shifted = np.zeros(grid.n, dtype=np.complex128)
-        a, b = max(0, -m), min(grid.n, grid.n - m)
-        if a < b:
-            shifted[a:b] = phi[a + m : b + m]
-        v = shifted * phi.conj()
+        v = _shifted(phi, grid.shift_index(tau)) * phi.conj()
         # H(tau, s) = e^{pi i tau s} * conj( dt sum conj(v) e^{-2 pi i s t} )
         for start in range(0, len(sigmas), grid.n):
             stop = min(start + grid.n, len(sigmas))

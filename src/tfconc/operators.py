@@ -25,9 +25,7 @@ __all__ = [
     "Spectrum",
     "assemble",
     "eigendecompose",
-    "counting",
-    "count_at_least",
-    "count_between",
+    "count",
     "trace_identity",
     "hs_identity",
     "energy",
@@ -212,30 +210,17 @@ def _checked_eigh(op: ConcentrationOperator, *, vectors: bool):
     return vals, vecs
 
 
-def counting(spectrum: Spectrum, lam: float) -> int:
-    """Number of eigenvalues strictly above ``lam`` (clamped to [0, 1]).
+def count(eigenvalues: np.ndarray, lo: float, hi: float = 1.0) -> int:
+    """Number of eigenvalues, clamped to [0, 1], in the closed band ``[lo, hi]``.
 
-    ``lam`` must lie in the open interval (0, 1); outside it the count is
-    degenerate and a DomainError is raised.
+    The default ``hi = 1`` counts every eigenvalue ``>= lo`` (the scaling-law
+    convention); ``hi < 1`` counts a plunge band.  Needs ``0 < lo < hi <= 1``,
+    else DomainError -- outside that the count is degenerate.
     """
-    if not 0.0 < lam < 1.0:
-        raise DomainError(f"counting threshold must be in (0, 1), got {lam}")
-    return int(np.sum(spectrum.clamped > lam))
-
-
-def count_at_least(spectrum: Spectrum, lam: float) -> int:
-    """Number of eigenvalues ``>= lam`` (clamped); the scaling-law convention."""
-    if not 0.0 < lam < 1.0:
-        raise DomainError(f"counting threshold must be in (0, 1), got {lam}")
-    return int(np.sum(spectrum.clamped >= lam))
-
-
-def count_between(spectrum: Spectrum, lam: float, mu: float) -> int:
-    """Number of eigenvalues in the closed plunge band ``[lam, mu]``."""
-    if not 0.0 < lam < mu < 1.0:
-        raise DomainError(f"need 0 < lam < mu < 1, got lam={lam}, mu={mu}")
-    c = spectrum.clamped
-    return int(np.sum((c >= lam) & (c <= mu)))
+    if not 0.0 < lo < hi <= 1.0:
+        raise DomainError(f"need 0 < lo < hi <= 1, got lo={lo}, hi={hi}")
+    clamped = np.clip(eigenvalues, 0.0, 1.0)
+    return int(np.sum((clamped >= lo) & (clamped <= hi)))
 
 
 def trace_identity(op: ConcentrationOperator) -> dict:

@@ -26,7 +26,7 @@ from .errors import (
     NumericalError,
 )
 from .grids import SampleGrid
-from .operators import _checked_eigh, assemble
+from .operators import _checked_eigh, assemble, count
 from .regions import Disc, Rect, Region, region_label
 from .windows import Window
 
@@ -50,7 +50,7 @@ __all__ = [
 _N_CAP = 2048
 
 
-def _max_workers(requested: int | None, n_jobs: int) -> int:
+def _max_workers(n_jobs: int) -> int:
     cap = os.environ.get("TFC_THREADS")
     try:
         limit = int(cap) if cap else (os.cpu_count() or 1)
@@ -58,8 +58,6 @@ def _max_workers(requested: int | None, n_jobs: int) -> int:
         limit = 0
     if limit < 1:
         raise ConfigError(f"TFC_THREADS must be an integer >= 1, got {cap!r}")
-    if requested is not None:
-        limit = min(limit, requested)
     return max(1, min(limit, n_jobs))
 
 
@@ -135,15 +133,16 @@ def scaling_experiment(
     plunge_band: tuple[float, float] = (0.1, 0.9),
     dt: float | None = None,
     margin: float = 1.0,
-    max_workers: int | None = None,
 ) -> ScalingReport:
     """Assemble and diagonalize across dilations, collecting counting data.
 
     ``window`` is a prototype; each scale rebuilds the same family on its own
     auto-sized grid (fixed dt) and solves for eigenvalues only.  Scales run in
-    a thread pool (the heavy lifting is in BLAS which drops the GIL);
-    ``TFC_THREADS`` caps the pool.  Coverage failures surface per scale,
-    tagged with the offending ``r``.
+    a thread pool (the heavy lifting is in BLAS which drops the GIL) of one
+    worker per scale, at most ``TFC_THREADS`` (default: the core count).
+    ``n_lambda`` counts eigenvalues ``>= lam`` and ``n_plunge`` those in the
+    closed ``plunge_band``, both through :func:`tfconc.operators.count`.
+    Coverage failures surface per scale, tagged with the offending ``r``.
     """
     scales = sorted(float(r) for r in scales)
     if not scales:
@@ -168,20 +167,19 @@ def scaling_experiment(
         except CoverageError as exc:
             raise CoverageError(f"scale r={r:g}: {exc}") from exc
         eigenvalues, _ = _checked_eigh(op, vectors=False)
-        clamped = np.clip(eigenvalues, 0.0, 1.0)
         return ScalingRow(
             r=r,
             area=region_r.area(),
             raster_area=op.raster.area,
             trace=op.trace,
             sum_sq=float(np.sum(eigenvalues**2)),
-            n_lambda=int(np.sum(clamped >= lam)),
-            n_plunge=int(np.sum((clamped >= lo) & (clamped <= hi))),
+            n_lambda=count(eigenvalues, lam),
+            n_plunge=count(eigenvalues, lo, hi),
             eigenvalues=eigenvalues,
             grid_n=grid_r.n,
         )
 
-    with ThreadPoolExecutor(_max_workers(max_workers, len(scales))) as pool:
+    with ThreadPoolExecutor(_max_workers(len(scales))) as pool:
         rows = tuple(pool.map(run, scales))
     return ScalingReport(window.label, region_label(region), lam, (lo, hi), rows)
 
@@ -215,8 +213,7 @@ def plunge_fit(report: ScalingReport, lam: float, mu: float) -> dict:
         raise DomainError(f"plunge fit needs >= 3 scales, got {len(report.rows)}")
     rs, counts = [], []
     for row in report.rows:
-        clamped = np.clip(row.eigenvalues, 0.0, 1.0)
-        c = int(np.sum((clamped >= lam) & (clamped <= mu)))
+        c = count(row.eigenvalues, lam, mu)
         if c >= 2:
             rs.append(row.r)
             counts.append(c)
@@ -232,7 +229,6 @@ def hs_error_rate(
     scales,
     *,
     report: ScalingReport | None = None,
-    max_workers: int | None = None,
 ) -> dict:
     """Growth rate of the plunge deficit ``trace - sum lambda^2``.
 
@@ -246,7 +242,7 @@ def hs_error_rate(
         scales = list(scales)
         if len(scales) < 3:
             raise DomainError("hs_error_rate needs >= 3 scales")
-        report = scaling_experiment(window, region, scales, max_workers=max_workers)
+        report = scaling_experiment(window, region, scales)
     elif len(report.rows) < 3:
         raise DomainError("hs_error_rate needs >= 3 scales")
     rs, deficits = [], []

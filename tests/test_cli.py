@@ -188,6 +188,26 @@ def test_decay_gaussian_hermite(tmp_path):
     assert len(lines) == 8
 
 
+@pytest.mark.parametrize(
+    "window, region, solves",
+    [("gaussian:pi", "disc 0 0 1.5", 3), ("triangle", "disc 0 0 1", 2)],
+)
+def test_decay_solves_each_operator_once(tmp_path, monkeypatch, window, region, solves):
+    # the operator, its Fourier-side twin, and (centred pi-gaussian disc only)
+    # the Hermite benchmark's own operator: one eigensolve each
+    calls = []
+
+    def counted(op):
+        calls.append(op.grid.n)
+        return tc.eigendecompose(op)
+
+    monkeypatch.setattr("tfconc.cli.eigendecompose", counted)
+    monkeypatch.setattr("tfconc.decay.eigendecompose", counted)
+    rc = main(["decay", "--window", window, "--region", region, "--out", str(tmp_path)])
+    assert rc == 0
+    assert len(calls) == solves
+
+
 def test_decay_custom_window_skips_vanishing(tmp_path):
     grid = tc.SampleGrid(101, 0.15)
     vals = np.exp(-np.pi * grid.times**2)  # smooth tail: no compact support

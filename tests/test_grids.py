@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import tfconc as tc
+from tfconc.gabor import shifted_rows
 
 from conftest import random_signal
 
@@ -169,6 +170,55 @@ def test_tf_shift_clips(gauss_grid):
     shifted = tc.tf_shift(f, gauss_grid.dt, 0.0)
     assert shifted.norm <= f.norm
     assert np.all(shifted.samples == 0)
+
+
+def _zero_fill_shift(samples, m):
+    """Reference ``out[k] = samples[k + m]``: a slice of a zero-padded copy."""
+    n = len(samples)
+    pad = np.zeros(2 * n + 2, dtype=complex)
+    padded = np.concatenate([pad, samples, pad])
+    return padded[len(pad) + m : len(pad) + m + n]
+
+
+_EDGE_N = 16
+
+
+@pytest.mark.parametrize(
+    "m",
+    [-_EDGE_N - 1, -_EDGE_N, -_EDGE_N + 1, -1, 0, 1, _EDGE_N - 1, _EDGE_N, _EDGE_N + 1],
+)
+def test_shift_edges_match_zero_fill(m, rng):
+    # tf_shift, shifted_rows and the ambiguity table share one shift; all three
+    # must agree with plain slicing at every clip, including none and total
+    g = tc.SampleGrid(_EDGE_N, 0.25)
+    f = random_signal(g, rng)
+    ref = _zero_fill_shift(f.samples, m)
+    tau = m * g.dt
+    assert np.any(ref) == (abs(m) < g.n)
+
+    assert np.array_equal(tc.tf_shift(f, tau, 0.0).samples, ref)
+    sigma = 0.7
+    phase = np.exp(1j * np.pi * tau * sigma + 2j * np.pi * sigma * g.times)
+    assert np.allclose(tc.tf_shift(f, tau, sigma).samples, phase * ref, rtol=0, atol=1e-12)
+
+    rows = shifted_rows(f.samples, np.array([m, 0]))
+    assert np.array_equal(rows[0], ref)
+    assert np.array_equal(rows[1], f.samples)
+
+    # H(tau, s) = dt * sum e^{pi i tau s} e^{2 pi i s t} phi(t + tau) conj(phi(t))
+    window = tc.Window(f, "custom")
+    sigmas = g.dsigma * np.arange(-3, 4)
+    row = tc.ambiguity_table(window, np.array([tau]), sigmas)[0]
+    direct = np.array(
+        [
+            g.dt * np.sum(np.exp(1j * np.pi * tau * s + 2j * np.pi * s * g.times)
+                          * ref * f.samples.conj())
+            for s in sigmas
+        ]
+    )
+    assert np.allclose(row, direct, rtol=0, atol=1e-12)
+    if abs(m) >= g.n:
+        assert np.all(row == 0)
 
 
 def test_tf_shift_alignment(gauss_window):

@@ -192,38 +192,34 @@ def test_eigenvalues_only_route_matches(gauss_disc_op, gauss_disc_spectrum):
 
 def test_counting_semantics():
     vals = np.array([0.99, 0.8, 0.3, 0.01])
-    spec = _fake_spectrum(vals)
-    assert tc.counting(spec, 0.5) == 2
-    assert tc.counting(spec, 0.992) == 0
-    assert tc.counting(spec, 0.8) == 1  # strict
-    assert tc.count_at_least(spec, 0.8) == 2  # closed
-    assert tc.count_between(spec, 0.01, 0.8) == 3
-    assert tc.count_between(spec, 0.1, 0.5) == 1
-
-
-def _fake_spectrum(vals):
-    vals = np.sort(np.asarray(vals, dtype=float))[::-1]
-    return tc.Spectrum(None, vals, np.eye(len(vals)))
+    assert tc.count(vals, 0.5) == 2
+    assert tc.count(vals, 0.992) == 0
+    assert tc.count(vals, 0.8) == 2  # closed
+    assert tc.count(vals, 0.01, 0.8) == 3
+    assert tc.count(vals, 0.1, 0.5) == 1
+    # clamped to [0, 1] first: solver overshoot above 1 still counts at hi = 1
+    assert tc.count(np.array([1.0 + 1e-9, 0.5, -1e-9]), 0.4) == 2
 
 
 def test_counting_domain_errors():
-    spec = _fake_spectrum([0.5])
+    vals = np.array([0.5])
     for bad in (0.0, 1.0, -0.3, 1.7):
         with pytest.raises(tc.DomainError):
-            tc.counting(spec, bad)
+            tc.count(vals, bad)
     with pytest.raises(tc.DomainError):
-        tc.count_between(spec, 0.9, 0.1)
+        tc.count(vals, 0.9, 0.1)
+    with pytest.raises(tc.DomainError):
+        tc.count(vals, 0.5, 1.2)
 
 
 def test_counting_scan_oracle(rng):
     for _ in range(10):
         vals = rng.uniform(-0.05, 1.05, size=40)
-        spec = _fake_spectrum(vals)
-        clamped = np.clip(np.sort(vals)[::-1], 0.0, 1.0)
+        clamped = np.clip(vals, 0.0, 1.0)
         for lam in (0.1, 0.5, 0.9):
-            assert tc.counting(spec, lam) == int(sum(1 for v in clamped if v > lam))
-            assert tc.count_at_least(spec, lam) == int(
-                sum(1 for v in clamped if v >= lam)
+            assert tc.count(vals, lam) == int(sum(1 for v in clamped if v >= lam))
+            assert tc.count(vals, lam, 0.95) == int(
+                sum(1 for v in clamped if lam <= v <= 0.95)
             )
 
 
