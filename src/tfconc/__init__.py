@@ -25,7 +25,7 @@ from .grids import (
     inverse_fourier_transform,
     tf_shift,
 )
-from .windows import Window, bootstrap_grid, make_window
+from .windows import Window, make_window
 from .gabor import GaborCoefficients, PhaseGrid, analyze, synthesize
 from .kernels import ambiguity, ambiguity_table, kernel, project
 from .regions import (
@@ -106,7 +106,6 @@ __all__ = [
     # windows
     "Window",
     "make_window",
-    "bootstrap_grid",
     # gabor
     "PhaseGrid",
     "GaborCoefficients",

@@ -33,10 +33,10 @@ from .decay import (
     hermite_benchmark,
     kernel_vanishing_check,
 )
-from .errors import ConfigError, NumericalError, TfcError
+from .errors import ConfigError, NumericalError, TfcError, UnsupportedCaseError
 from .grids import SampleGrid, fourier_transform, grids_compatible
 from .operators import assemble, eigendecompose, eigenfilter, energy
-from .regions import Disc, Region, parse_region, region_label
+from .regions import Region, parse_region, region_label
 from .scaling import (
     SELF_DUAL_SIGMA,
     GaussianDensity,
@@ -47,7 +47,7 @@ from .scaling import (
     plunge_fit,
     scaling_experiment,
 )
-from .windows import Window, bootstrap_grid, make_window
+from .windows import Window, make_window
 
 __all__ = ["main"]
 
@@ -71,24 +71,9 @@ _OPTIONS = {
     "bound_c": (float, None),
 }
 
-#: config-file keys to option names (flag spelling differs for a few)
-_FILE_KEYS = {
-    "window": "window",
-    "region": "region",
-    "grid": "grid",
-    "out": "out",
-    "seed": "seed",
-    "scales": "scales",
-    "lambda": "lam",
-    "mu": "mu",
-    "epsilon": "epsilon",
-    "rank": "rank",
-    "input": "input",
-    "oracle": "oracle",
-    "sigma": "sigma",
-    "p": "p",
-    "c": "bound_c",
-}
+#: config-file keys to option names: the flag spelling, except where the
+#: option name differs from it
+_FILE_KEYS = {{"lam": "lambda", "bound_c": "c"}.get(name, name): name for name in _OPTIONS}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -238,16 +223,16 @@ def _parse_grid_spec(text: str) -> SampleGrid | None:
         raise ConfigError(f"bad grid spec {text!r} (want 'auto' or 'N,dt'): {exc}") from exc
 
 
-def _window(args, grid: SampleGrid | None = None) -> Window:
-    """The ``--window`` spec placed on ``grid``.
+def _window(args, grid: SampleGrid | None, region: Region | None = None) -> Window:
+    """The ``--window`` spec, built once on ``grid``.
 
-    Without a grid a stock family lands on its bootstrap grid (a prototype to
-    rebuild) and a custom window on the grid of its CSV; with one, the CSV's
-    grid must be compatible with it.
+    Without a grid a stock family lands on a grid auto-sized for ``region``
+    and a custom window on the grid of its CSV; with one, the CSV's grid must
+    be compatible with it.
     """
     family, c, path = _parse_window_spec(args.window)
     if family != "custom":
-        return make_window(family, grid or bootstrap_grid(family, c), c=c)
+        return make_window(family, grid or auto_grid(family, region, c=c), c=c)
     sig = io.read_signal_csv(path)
     if grid is None:
         grid = sig.grid
@@ -261,11 +246,7 @@ def _window(args, grid: SampleGrid | None = None) -> Window:
 
 def _window_for(args, region: Region) -> Window:
     """The window on ``--grid``, else on a grid auto-sized for ``region``."""
-    grid = _parse_grid_spec(args.grid)
-    window = _window(args, grid)
-    if grid is None and window.family != "custom":
-        window = window.rebuild(auto_grid(window, region))
-    return window
+    return _window(args, _parse_grid_spec(args.grid), region)
 
 
 def cmd_spectrum(args) -> int:
@@ -302,24 +283,25 @@ def cmd_spectrum(args) -> int:
 
 def cmd_asymptotics(args) -> int:
     region = parse_region(args.region)
-    prototype = _window(args)
-    if prototype.family == "custom":
-        raise ConfigError("scaling sweeps need a rebuildable window family")
+    family, c, _ = _parse_window_spec(args.window)
+    if family == "custom":
+        raise ConfigError("scaling sweeps need a stock window family")
     scales = _parse_scales(args.scales, "1,1.5,2,3,4")
     lam = args.lam if args.lam is not None else 0.1
     mu = args.mu if args.mu is not None else 0.9
     explicit = _parse_grid_spec(args.grid)
     report = scaling_experiment(
-        prototype,
+        family,
         region,
         scales,
         lam=0.5,
+        c=c,
         plunge_band=(lam, mu),
         dt=explicit.dt if explicit is not None else None,
     )
     fits = {
         "plunge": plunge_fit(report, lam, mu),
-        "hs_deficit": hs_error_rate(prototype, region, scales, report=report),
+        "hs_deficit": hs_error_rate(report),
     }
 
     out = Path(args.out)
@@ -377,11 +359,11 @@ def cmd_decay(args) -> int:
         "rows": len(rows),
     }
 
-    is_pi_gaussian = window.family == "gaussian" and math.isclose(
-        window.parameter, math.pi, rel_tol=1e-12
-    )
-    if is_pi_gaussian and isinstance(region, Disc) and region.center == (0.0, 0.0):
-        bench = hermite_benchmark(math.pi, region.radius, k_max=6)
+    try:
+        bench = hermite_benchmark(spectrum, region, k_max=6)
+    except UnsupportedCaseError:  # not the gaussian:pi window on a centred disc
+        bench = None
+    if bench is not None:
         herm_rows = []
         start = 0
         for idx, (size, overlap) in enumerate(

@@ -20,9 +20,8 @@ from .errors import DomainError, UnsupportedCaseError
 from .grids import Signal, fourier_transform, inverse_fourier_transform
 from .hermite import hermite_samples
 from .operators import ConcentrationOperator, Spectrum, assemble, eigendecompose
-from .regions import Disc, Region
-from .scaling import auto_grid
-from .windows import Window, bootstrap_grid, make_window
+from .regions import Disc, Region, region_label
+from .windows import Window
 
 __all__ = [
     "DecayEnvelope",
@@ -309,16 +308,13 @@ def fourier_side_check(spectrum: Spectrum, region: Region, k_max: int = 12) -> d
     return {"max_eigenvalue_gap": gap, "max_overlap_defect": defect}
 
 
-def hermite_benchmark(
-    c: float,
-    disc_radius: float,
-    k_max: int = 6,
-    *,
-    dt: float | None = None,
-) -> dict:
+def hermite_benchmark(spectrum: Spectrum, region: Region, k_max: int = 6) -> dict:
     """Gaussian window, centered disc: eigenfunctions against the Hermite ladder.
 
-    Only ``c = pi`` is supported -- that is the window whose ambiguity function
+    Reads the window and its grid from ``spectrum.operator`` and checks the
+    spectrum the caller already holds; nothing is assembled or solved here.
+    Only the ``c = pi`` gaussian on a centered :class:`Disc` is supported,
+    else UnsupportedCaseError -- that is the window whose ambiguity function
     is isotropic, so a centered disc commutes with the phase-space rotation
     symmetry and the classical result applies verbatim.  Other ``c`` would
     need elliptical regions.
@@ -327,17 +323,21 @@ def hermite_benchmark(
     Hermite functions, plus a log-linear fit of the post-plunge eigenvalue
     tail and flags confirming super-polynomial decay.
     """
-    if not math.isclose(c, math.pi, rel_tol=1e-12):
+    window = spectrum.operator.window
+    if not (
+        window.family == "gaussian"
+        and math.isclose(window.parameter, math.pi, rel_tol=1e-12)
+    ):
         raise UnsupportedCaseError(
-            f"hermite benchmark needs c = pi (isotropic case), got {c}"
+            f"hermite benchmark needs the gaussian:pi window (isotropic case), "
+            f"got {window.label}"
         )
-    if disc_radius <= 0:
-        raise DomainError(f"disc radius must be positive, got {disc_radius}")
-    region = Disc((0.0, 0.0), disc_radius)
-    prototype = make_window("gaussian", bootstrap_grid("gaussian"), c=math.pi)
-    grid = auto_grid(prototype, region, dt=dt)
-    window = prototype.rebuild(grid)
-    spectrum = eigendecompose(assemble(window, region))
+    if not (isinstance(region, Disc) and region.center == (0.0, 0.0)):
+        raise UnsupportedCaseError(
+            f"hermite benchmark needs a disc centered at the origin, got "
+            f"{region_label(region)}"
+        )
+    grid = window.grid
 
     lam = spectrum.clamped
     clusters = _clusters(spectrum.eigenvalues, k_max, floor=1e-3)

@@ -91,13 +91,14 @@ def write_signal_csv(path, signal: Signal, tag: str = "-") -> None:
     write_csv(path, ("t", "re", "im"), rows, tag)
 
 
-def read_signal_csv(path) -> Signal:
-    """Parse a ``t,re,im`` CSV back into a Signal.
+def _read_rows(path, header: tuple[str, str, str], convert) -> list[tuple]:
+    """Data rows of a 3-column CSV, each field passed through ``convert``.
 
-    The time column must be a uniform centered grid; malformed rows are
-    reported with their (1-based) line number.
+    Blank and ``#`` lines are skipped; the first other line must be
+    ``header``.  Malformed rows are reported with their (1-based) line number.
     """
-    ts, res, ims = [], [], []
+    expected = ",".join(header)
+    rows = []
     saw_header = False
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -105,9 +106,9 @@ def read_signal_csv(path) -> Signal:
             if not line or line.startswith("#"):
                 continue
             if not saw_header:
-                if [c.strip().lower() for c in line.split(",")] != ["t", "re", "im"]:
+                if [c.strip().lower() for c in line.split(",")] != list(header):
                     raise ConfigError(
-                        f"{path}: row {lineno}: expected header 't,re,im', got {line!r}"
+                        f"{path}: row {lineno}: expected header '{expected}', got {line!r}"
                     )
                 saw_header = True
                 continue
@@ -115,24 +116,31 @@ def read_signal_csv(path) -> Signal:
             if len(parts) != 3:
                 raise ConfigError(f"{path}: row {lineno}: expected 3 fields, got {len(parts)}")
             try:
-                t, re_v, im_v = (float(p) for p in parts)
+                rows.append(tuple(f(part) for f, part in zip(convert, parts)))
             except ValueError as exc:
                 raise ConfigError(f"{path}: row {lineno}: {exc}") from exc
-            ts.append(t)
-            res.append(re_v)
-            ims.append(im_v)
     if not saw_header:
-        raise ConfigError(f"{path}: missing 't,re,im' header")
-    if len(ts) < 2:
-        raise ConfigError(f"{path}: need at least 2 samples, got {len(ts)}")
-    t = np.array(ts)
+        raise ConfigError(f"{path}: missing '{expected}' header")
+    return rows
+
+
+def read_signal_csv(path) -> Signal:
+    """Parse a ``t,re,im`` CSV back into a Signal.
+
+    The time column must be a uniform centered grid; malformed rows are
+    reported with their (1-based) line number.
+    """
+    rows = _read_rows(path, ("t", "re", "im"), (float, float, float))
+    if len(rows) < 2:
+        raise ConfigError(f"{path}: need at least 2 samples, got {len(rows)}")
+    t, res, ims = (np.array(col) for col in zip(*rows))
     n = len(t)
     dt = (t[-1] - t[0]) / (n - 1)
     if dt <= 0 or np.max(np.abs(np.diff(t) - dt)) > _REL_TOL * max(dt, 1.0):
         raise ConfigError(f"{path}: time column is not a uniform increasing grid")
     if abs(t[0] + (n - 1) * dt / 2) > _REL_TOL * max(abs(t[0]), 1.0):
         raise ConfigError(f"{path}: time grid must be centered around 0")
-    return Signal(SampleGrid(n, float(dt)), np.array(res) + 1j * np.array(ims))
+    return Signal(SampleGrid(n, float(dt)), res + 1j * ims)
 
 
 # ---------------------------------------------------------------------------
@@ -178,35 +186,12 @@ def read_mask_csv(path):
     """
     from .regions import Mask
 
-    taus, sigmas, flags = [], [], []
-    saw_header = False
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if not saw_header:
-                if [c.strip().lower() for c in line.split(",")] != [
-                    "tau",
-                    "sigma",
-                    "inside",
-                ]:
-                    raise ConfigError(
-                        f"{path}: row {lineno}: expected header 'tau,sigma,inside'"
-                    )
-                saw_header = True
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise ConfigError(f"{path}: row {lineno}: expected 3 fields")
-            try:
-                taus.append(float(parts[0]))
-                sigmas.append(float(parts[1]))
-                flags.append(int(float(parts[2])))
-            except ValueError as exc:
-                raise ConfigError(f"{path}: row {lineno}: {exc}") from exc
-    if not flags:
+    rows = _read_rows(
+        path, ("tau", "sigma", "inside"), (float, float, lambda v: int(float(v)))
+    )
+    if not rows:
         raise ConfigError(f"{path}: empty mask file")
+    taus, sigmas, flags = zip(*rows)
     tau_axis = np.unique(np.array(taus))
     sigma_axis = np.unique(np.array(sigmas))
     if len(tau_axis) * len(sigma_axis) != len(flags):

@@ -27,8 +27,8 @@ from .errors import (
 )
 from .grids import SampleGrid
 from .operators import _checked_eigh, assemble, count
-from .regions import Disc, Rect, Region, region_label
-from .windows import Window
+from .regions import Disc, Rect, Region
+from .windows import _stock_radii, make_window
 
 __all__ = [
     "ScalingRow",
@@ -67,24 +67,30 @@ def _halfwidths(region: Region) -> tuple[float, float]:
 
 
 def auto_grid(
-    window: Window,
+    family: str,
     region: Region,
     *,
+    c: float = math.pi,
     dt: float | None = None,
     margin: float = 1.0,
 ) -> SampleGrid:
-    """Sample grid sized for one window/region pair.
+    """Sample grid sized for a stock window family on ``region``.
 
+    ``family`` and ``c`` name the window as in
+    :func:`tfconc.windows.make_window`; the grid is sized from that family's
+    closed-form time and frequency radii, so no window has to exist first.
     The time step resolves the largest modulation in play (region frequency
     extent plus window bandwidth, half-cell slack); the half-width covers the
     region's time extent plus the window tail plus ``margin``.  ``n`` is odd
     so 0 is a sample.  Orders beyond 2048 raise CoverageError -- dense
     eigensolves past that are out of scope, coarsen or shrink instead.
+    Custom windows raise UnsupportedCaseError: they keep their own grid.
     """
+    essential, bandwidth = _stock_radii(family, c)
     t_half, s_half = _halfwidths(region)
     if dt is None:
-        dt = 0.5 / (s_half + window.bandwidth_radius + 0.5)
-    half_width = t_half + window.essential_radius + margin
+        dt = 0.5 / (s_half + bandwidth + 0.5)
+    half_width = t_half + essential + margin
     n = int(math.ceil(2.0 * half_width / dt)) + 1
     if n % 2 == 0:
         n += 1
@@ -117,32 +123,35 @@ class ScalingRow:
 
 @dataclass(frozen=True, eq=False)
 class ScalingReport:
-    window_label: str
-    region_label: str
     lam: float
     plunge_band: tuple[float, float]
     rows: tuple[ScalingRow, ...]  # sorted by r
 
 
 def scaling_experiment(
-    window: Window,
+    family: str,
     region: Region,
     scales,
     lam: float = 0.5,
     *,
+    c: float = math.pi,
     plunge_band: tuple[float, float] = (0.1, 0.9),
     dt: float | None = None,
     margin: float = 1.0,
 ) -> ScalingReport:
     """Assemble and diagonalize across dilations, collecting counting data.
 
-    ``window`` is a prototype; each scale rebuilds the same family on its own
-    auto-sized grid (fixed dt) and solves for eigenvalues only.  Scales run in
-    a thread pool (the heavy lifting is in BLAS which drops the GIL) of one
+    ``family`` and ``c`` name a stock window as in
+    :func:`tfconc.windows.make_window`.  Each scale builds that window once,
+    on its own grid from :func:`auto_grid` (fixed dt, auto-chosen from the
+    largest scale unless given), and solves for eigenvalues only.  Scales run
+    in a thread pool (the heavy lifting is in BLAS which drops the GIL) of one
     worker per scale, at most ``TFC_THREADS`` (default: the core count).
     ``n_lambda`` counts eigenvalues ``>= lam`` and ``n_plunge`` those in the
     closed ``plunge_band``, both through :func:`tfconc.operators.count`.
     Coverage failures surface per scale, tagged with the offending ``r``.
+    Custom windows have no rule to resample them and raise
+    UnsupportedCaseError.
     """
     scales = sorted(float(r) for r in scales)
     if not scales:
@@ -156,14 +165,13 @@ def scaling_experiment(
         raise DomainError(f"plunge band must satisfy 0 < lo < hi < 1, got {plunge_band}")
 
     if dt is None:
-        dt = auto_grid(window, region.scale(scales[-1]), margin=margin).dt
+        dt = auto_grid(family, region.scale(scales[-1]), c=c, margin=margin).dt
 
     def run(r: float) -> ScalingRow:
         region_r = region.scale(r)
         try:
-            grid_r = auto_grid(window, region_r, dt=dt, margin=margin)
-            window_r = window.rebuild(grid_r)
-            op = assemble(window_r, region_r)
+            grid_r = auto_grid(family, region_r, c=c, dt=dt, margin=margin)
+            op = assemble(make_window(family, grid_r, c=c), region_r)
         except CoverageError as exc:
             raise CoverageError(f"scale r={r:g}: {exc}") from exc
         eigenvalues, _ = _checked_eigh(op, vectors=False)
@@ -181,7 +189,7 @@ def scaling_experiment(
 
     with ThreadPoolExecutor(_max_workers(len(scales))) as pool:
         rows = tuple(pool.map(run, scales))
-    return ScalingReport(window.label, region_label(region), lam, (lo, hi), rows)
+    return ScalingReport(lam, (lo, hi), rows)
 
 
 def _fit_loglog(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
@@ -223,27 +231,15 @@ def plunge_fit(report: ScalingReport, lam: float, mu: float) -> dict:
     return {"slope": slope, "intercept": intercept, "r2": r2, "rows_used": len(rs)}
 
 
-def hs_error_rate(
-    window: Window,
-    region: Region,
-    scales,
-    *,
-    report: ScalingReport | None = None,
-) -> dict:
+def hs_error_rate(report: ScalingReport) -> dict:
     """Growth rate of the plunge deficit ``trace - sum lambda^2``.
 
     The deficit is the Hilbert-Schmidt shortfall concentrated along the
     region's boundary; its absolute size should grow like ``r`` (area grows
-    r^2, relative deficit shrinks like 1/r).  Returns the fitted log-log slope.
-    An existing report for the same window/region can be passed to skip the
-    recompute.
+    r^2, relative deficit shrinks like 1/r).  Returns the fitted log-log slope
+    over the report's rows; fewer than 3 rows raise DomainError.
     """
-    if report is None:
-        scales = list(scales)
-        if len(scales) < 3:
-            raise DomainError("hs_error_rate needs >= 3 scales")
-        report = scaling_experiment(window, region, scales)
-    elif len(report.rows) < 3:
+    if len(report.rows) < 3:
         raise DomainError("hs_error_rate needs >= 3 scales")
     rs, deficits = [], []
     for row in report.rows:

@@ -20,7 +20,6 @@ from .grids import SampleGrid, Signal
 __all__ = [
     "Window",
     "make_window",
-    "bootstrap_grid",
     "gaussian_profile",
     "triangle_profile",
 ]
@@ -86,39 +85,11 @@ class Window:
 
     @property
     def essential_radius(self) -> float:
-        """Radius outside which the squared tail mass is below 1e-12."""
-        if self.family == "gaussian":
-            return _GAUSS_TAIL_X / math.sqrt(2.0 * self.parameter)
-        if self.family == "triangle":
-            return 1.0
-        return _measured_essential_radius(self.signal)
+        """Radius outside which the squared tail mass is below 1e-12.
 
-    @property
-    def bandwidth_radius(self) -> float:
-        """Frequency-side analogue of :attr:`essential_radius`, used to size grids.
-
-        Gaussians transform to Gaussians with parameter ``pi^2 / c`` so the
-        radius is analytic.  The triangle's transform decays only like
-        ``sigma^-2`` (squared tail ~ S^-3), which would put the literal 1e-12
-        radius near 1e4; a fixed margin of 8 is used instead and the slack is
-        absorbed by per-experiment tolerances.
+        Stock families only: a custom window raises UnsupportedCaseError.
         """
-        if self.family == "gaussian":
-            return _GAUSS_TAIL_X / math.sqrt(2.0 * math.pi**2 / self.parameter)
-        if self.family == "triangle":
-            return 8.0
-        from .grids import fourier_transform
-
-        return _measured_essential_radius(fourier_transform(self.signal))
-
-    @property
-    def profile(self) -> Callable[[np.ndarray], np.ndarray] | None:
-        """Continuum function the samples came from, for closed-form oracles."""
-        if self.family == "gaussian":
-            return gaussian_profile(self.parameter)
-        if self.family == "triangle":
-            return triangle_profile()
-        return None
+        return _stock_radii(self.family, self.parameter)[0]
 
     @property
     def label(self) -> str:
@@ -127,33 +98,31 @@ class Window:
             return f"gaussian:{self.parameter:.17g}"
         return self.family
 
-    def rebuild(self, grid: SampleGrid) -> "Window":
-        """Same window family and parameter sampled on another grid.
 
-        Custom windows have no generating rule to resample, so they cannot
-        follow a grid change.
-        """
-        if self.family == "custom":
-            raise UnsupportedCaseError(
-                "custom windows cannot be rebuilt on a new grid; "
-                "pass a window factory instead"
-            )
-        return make_window(self.family, grid, c=self.parameter or math.pi)
+def _stock_radii(family: str, c: float | None) -> tuple[float, float]:
+    """``(time radius, frequency radius)`` of a stock family, used to size grids.
 
-
-def _measured_essential_radius(signal: Signal) -> float:
-    power = np.abs(signal.samples) ** 2
-    total = float(power.sum())
-    if total <= 0.0:
-        return 0.0
-    t = np.abs(signal.grid.times)
-    order = np.argsort(t)
-    # outside-mass as a function of candidate radius t[order[k]]
-    sorted_power = power[order]
-    inside = np.cumsum(sorted_power)
-    outside = total - inside
-    ok = np.nonzero(outside <= _TAIL_BUDGET * total)[0]
-    return float(t[order[ok[0]]]) if len(ok) else float(t[order[-1]])
+    The time radius is where the squared tail mass drops below 1e-12.
+    Gaussians transform to Gaussians with parameter ``pi^2 / c``, so both
+    radii are analytic.  The triangle is supported on ``[-1, 1]``; its
+    transform decays only like ``sigma^-2`` (squared tail ~ S^-3), which would
+    put the literal 1e-12 radius near 1e4, so a fixed frequency radius of 8
+    is used instead and the slack is absorbed by per-experiment tolerances.
+    Custom windows have no closed form; they keep the grid of their samples.
+    """
+    if family == "gaussian":
+        if not c > 0:
+            raise ValueError(f"gaussian parameter must be positive, got {c}")
+        return (
+            _GAUSS_TAIL_X / math.sqrt(2.0 * c),
+            _GAUSS_TAIL_X / math.sqrt(2.0 * math.pi**2 / c),
+        )
+    if family == "triangle":
+        return 1.0, 8.0
+    raise UnsupportedCaseError(
+        f"window family {family!r} has no closed-form radii to size a grid; "
+        "custom windows keep the grid of their samples"
+    )
 
 
 def make_window(
@@ -230,28 +199,3 @@ def _unit(signal: Signal) -> Signal:
     if abs(nrm - 1.0) <= 1e-14:
         return signal
     return Signal(signal.grid, signal.samples / nrm)
-
-
-def bootstrap_grid(family: str, c: float = math.pi) -> SampleGrid:
-    """A grid on which a stock family always fits, for building prototypes.
-
-    Auto-sizing a grid needs window radii, and window radii need a Window --
-    this breaks the loop using the families' analytic extents.  Custom windows
-    arrive with their own grid and never need bootstrapping.
-    """
-    if family == "gaussian":
-        if not c > 0:
-            raise ValueError(f"gaussian parameter must be positive, got {c}")
-        t_half = _GAUSS_TAIL_X / math.sqrt(2.0 * c) + 1.0
-        bandwidth = _GAUSS_TAIL_X / math.sqrt(2.0 * math.pi**2 / c)
-    elif family == "triangle":
-        t_half, bandwidth = 2.0, 8.0
-    else:
-        raise UnsupportedCaseError(
-            f"no bootstrap rule for window family {family!r}"
-        )
-    dt = 0.5 / (bandwidth + 0.5)
-    n = int(math.ceil(2.0 * t_half / dt)) + 1
-    if n % 2 == 0:
-        n += 1
-    return SampleGrid(n, dt)

@@ -21,28 +21,29 @@ def _check(num, name, ok, detail):
 
 
 @pytest.fixture(scope="module")
-def gauss_proto():
-    return tc.make_window("gaussian", tc.bootstrap_grid("gaussian"))
+def small_gauss():
+    """The gaussian:pi window on the smallest auto grid it fits (n=33)."""
+    return tc.make_window("gaussian", tc.auto_grid("gaussian", tc.Rect(0.0, 0.0, 0.0, 0.0)))
 
 
 @pytest.fixture(scope="module")
-def disc_report(gauss_proto):
+def disc_report():
     """Gaussian window, unit disc dilated by r in {1,2,3,4} -- with wall time."""
     start = time.perf_counter()
-    report = tc.scaling_experiment(gauss_proto, tc.Disc((0.0, 0.0), 1.0), [1, 2, 3, 4])
+    report = tc.scaling_experiment("gaussian", tc.Disc((0.0, 0.0), 1.0), [1, 2, 3, 4])
     return report, time.perf_counter() - start
 
 
-def test_criterion_01_moyal_energy(gauss_proto):
+def test_criterion_01_moyal_energy(small_gauss):
     start = time.perf_counter()
-    grid = gauss_proto.grid
+    grid = small_gauss.grid
     pg = tc.PhaseGrid.moyal_cover(grid)
     rng = np.random.default_rng(2024)
     worst = 0.0
     for _ in range(20):
         vals = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
         f = tc.Signal(grid, vals / np.sqrt(grid.dt * np.sum(np.abs(vals) ** 2)))
-        coeffs = tc.analyze(f, gauss_proto, pg)
+        coeffs = tc.analyze(f, small_gauss, pg)
         energy = pg.cell_area * float(np.sum(np.abs(coeffs.values) ** 2))
         worst = max(worst, abs(energy - 1.0))
     elapsed = time.perf_counter() - start
@@ -95,9 +96,8 @@ def test_criterion_03_spectral_bounds():
     for family, (name, base), scale in itertools.product(
         ("gaussian", "triangle"), bases.items(), (1.0, 2.0)
     ):
-        proto = tc.make_window(family, tc.bootstrap_grid(family))
         region = base.scale(scale)
-        window = proto.rebuild(tc.auto_grid(proto, region))
+        window = tc.make_window(family, tc.auto_grid(family, region))
         spectrum = tc.eigendecompose(tc.assemble(window, region))
         lo = min(lo, float(spectrum.eigenvalues.min()))
         hi = max(hi, float(spectrum.eigenvalues.max()))
@@ -183,7 +183,10 @@ def test_criterion_08_oracle_equivalence():
 
 
 def test_criterion_09_hermite():
-    bench = tc.hermite_benchmark(math.pi, 1.5, k_max=6)
+    region = tc.Disc((0.0, 0.0), 1.5)
+    window = tc.make_window("gaussian", tc.auto_grid("gaussian", region))
+    spectrum = tc.eigendecompose(tc.assemble(window, region))
+    bench = tc.hermite_benchmark(spectrum, region, k_max=6)
     min_overlap = float(np.min(bench["overlaps"]))
     ok = min_overlap >= 0.99 and bench["decay_slope"] < 0.0 and bench["r2"] >= 0.95
     _check(

@@ -2,13 +2,14 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
 import tfconc as tc
 from tfconc import io as tio
-from tfconc.cli import main
+from tfconc.cli import _load_config_file, main
 
 
 def _read_json(path):
@@ -190,11 +191,11 @@ def test_decay_gaussian_hermite(tmp_path):
 
 @pytest.mark.parametrize(
     "window, region, solves",
-    [("gaussian:pi", "disc 0 0 1.5", 3), ("triangle", "disc 0 0 1", 2)],
+    [("gaussian:pi", "disc 0 0 1.5", 2), ("triangle", "disc 0 0 1", 2)],
 )
 def test_decay_solves_each_operator_once(tmp_path, monkeypatch, window, region, solves):
-    # the operator, its Fourier-side twin, and (centred pi-gaussian disc only)
-    # the Hermite benchmark's own operator: one eigensolve each
+    # the operator and its Fourier-side twin: one eigensolve each (the Hermite
+    # benchmark reads the operator's spectrum)
     calls = []
 
     def counted(op):
@@ -206,6 +207,40 @@ def test_decay_solves_each_operator_once(tmp_path, monkeypatch, window, region, 
     rc = main(["decay", "--window", window, "--region", region, "--out", str(tmp_path)])
     assert rc == 0
     assert len(calls) == solves
+
+
+@pytest.mark.parametrize(
+    "argv, builds",
+    [
+        (["spectrum", "--region", "disc 0 0 1.5"], 1),
+        (["decay", "--region", "disc 0 0 1.5"], 1),
+        (["decay", "--window", "triangle", "--region", "disc 0 0 1"], 1),
+        (["asymptotics", "--region", "disc 0 0 1",
+          "--scales", "1,1.25,1.5,1.75,2,2.25,2.5"], 7),
+    ],
+    ids=["spectrum", "decay-gaussian", "decay-triangle", "asymptotics-7-scales"],
+)
+def test_each_window_built_once(tmp_path, monkeypatch, argv, builds):
+    # one window per operator: no prototype windows, no rebuilds
+    calls = []
+    build = tc.make_window
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return build(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("tfconc") and hasattr(module, "make_window"):
+            monkeypatch.setattr(module, "make_window", counted)
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    assert len(calls) == builds, calls
+
+
+def test_asymptotics_rejects_custom_window(tmp_path, capsys):
+    # a sweep builds a new grid per scale; a custom window has only its CSV's
+    rc = main(["asymptotics", "--window", "custom:win.csv", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "stock window family" in capsys.readouterr().err
 
 
 def test_decay_custom_window_skips_vanishing(tmp_path):
@@ -339,6 +374,18 @@ def test_config_file_unknown_key(tmp_path, capsys):
     rc = main(["spectrum", "--config", str(cfg), "--out", str(tmp_path)])
     assert rc == 2
     assert "wobble" in capsys.readouterr().err
+
+
+def test_config_file_keys(tmp_path, capsys):
+    # the file spells two options as their flags do: lambda and c
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("lambda=0.2\nc=2.5\nmu=0.8\n")
+    assert _load_config_file(str(cfg)) == {"lam": "0.2", "bound_c": "2.5", "mu": "0.8"}
+    for key in ("lam", "bound_c"):
+        cfg.write_text(f"{key}=0.2\n")
+        rc = main(["spectrum", "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == 2
+        assert key in capsys.readouterr().err
 
 
 def test_bad_grid_spec(tmp_path):

@@ -155,8 +155,16 @@ def test_fourier_side_triangle_disc(tri_window):
     assert out["max_eigenvalue_gap"] < 1e-5
 
 
-def test_hermite_benchmark():
-    out = tc.hermite_benchmark(math.pi, 1.5, 6)
+@pytest.fixture(scope="module")
+def hermite_disc():
+    # the gaussian:pi window on its auto grid for the centered disc of radius 1.5
+    region = tc.Disc((0.0, 0.0), 1.5)
+    window = tc.make_window("gaussian", tc.auto_grid("gaussian", region))
+    return tc.eigendecompose(tc.assemble(window, region)), region
+
+
+def test_hermite_benchmark(hermite_disc):
+    out = tc.hermite_benchmark(*hermite_disc, 6)
     assert len(out["overlaps"]) == 6
     assert np.min(out["overlaps"]) >= 0.99
     assert out["decay_slope"] < 0.0
@@ -166,16 +174,25 @@ def test_hermite_benchmark():
     assert out["cluster_sizes"] == [1] * 6
 
 
-def test_hermite_benchmark_matches_closed_form():
+def test_hermite_benchmark_matches_closed_form(hermite_disc):
     from scipy.special import gammainc
 
-    out = tc.hermite_benchmark(math.pi, 1.5, 6)
+    out = tc.hermite_benchmark(*hermite_disc, 6)
     expect = gammainc(np.arange(1, 7), math.pi * 1.5**2)
     assert np.max(np.abs(out["eigenvalues"][:6] - expect)) < 5e-3
 
 
-def test_hermite_benchmark_rejects_other_widths():
-    with pytest.raises(tc.UnsupportedCaseError):
-        tc.hermite_benchmark(2.0, 1.5, 4)
-    with pytest.raises(tc.DomainError):
-        tc.hermite_benchmark(math.pi, -1.0, 4)
+def test_hermite_benchmark_rejects_other_widths(gauss_window, tri_disc_spectrum):
+    # only the gaussian:pi window on a centred disc: not c = 2, not off-centre,
+    # not the triangle
+    region = tc.Disc((0.0, 0.0), 1.5)
+    window = tc.make_window("gaussian", tc.auto_grid("gaussian", region, c=2.0), c=2.0)
+    off_centre = tc.Disc((0.5, 0.0), 1.0)
+    cases = [
+        (tc.eigendecompose(tc.assemble(window, region)), region),
+        (tc.eigendecompose(tc.assemble(gauss_window, off_centre)), off_centre),
+        (tri_disc_spectrum, tc.Disc((0.0, 0.0), 1.0)),
+    ]
+    for spectrum, case_region in cases:
+        with pytest.raises(tc.UnsupportedCaseError):
+            tc.hermite_benchmark(spectrum, case_region, 4)

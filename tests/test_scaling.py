@@ -63,36 +63,57 @@ def _count_calls(monkeypatch, cls):
 
 
 @pytest.fixture(scope="module")
-def proto_gauss():
-    return tc.make_window("gaussian", tc.bootstrap_grid("gaussian"))
+def small_report():
+    return tc.scaling_experiment("gaussian", tc.Disc((0.0, 0.0), 1.0), [1.0, 1.5, 2.0], 0.5)
 
 
-@pytest.fixture(scope="module")
-def small_report(proto_gauss):
-    return tc.scaling_experiment(
-        proto_gauss, tc.Disc((0.0, 0.0), 1.0), [1.0, 1.5, 2.0], 0.5
-    )
-
-
-def test_auto_grid_properties(proto_gauss):
-    g = tc.auto_grid(proto_gauss, tc.Disc((0.0, 0.0), 2.0))
+def test_auto_grid_properties():
+    g = tc.auto_grid("gaussian", tc.Disc((0.0, 0.0), 2.0))
     assert g.n % 2 == 1
     assert np.min(np.abs(g.times)) < 1e-12  # zero is a sample
     # half-width covers region extent + window tail + margin
-    assert g.span >= 2.0 + proto_gauss.essential_radius + 1.0 - g.dt
+    window = tc.make_window("gaussian", g)
+    assert g.span >= 2.0 + window.essential_radius + 1.0 - g.dt
 
 
-def test_auto_grid_honors_fixed_dt(proto_gauss):
-    g = tc.auto_grid(proto_gauss, tc.Disc((0.0, 0.0), 1.0), dt=0.1)
+#: (family, c, region, dt) -> (n, dt), computed with the prototype-window
+#: sizing that the closed-form radii replaced; the zero-extent rect gives the
+#: smallest grid a family fits on
+_PINNED_GRIDS = [
+    ("gaussian", math.pi, tc.Disc((0.0, 0.0), 2.0), None, 93, 0.1108284039946261),
+    ("gaussian", 2.0, tc.Disc((0.0, 0.0), 2.0), None, 93, 0.12180481860291048),
+    ("triangle", math.pi, tc.Disc((0.0, 0.0), 2.0), None, 169, 0.047619047619047616),
+    ("gaussian", math.pi, tc.Rect(-1.0, 2.0, -0.5, 1.5), None, 83, 0.12464231256657941),
+    ("triangle", math.pi, tc.Rect(-1.0, 2.0, -0.5, 1.5), None, 161, 0.05),
+    ("gaussian", 2.0, tc.Polygon([(0.0, 0.0), (2.0, 0.0), (0.0, 1.5)]), None,
+     81, 0.1386990286249755),
+    ("triangle", math.pi, tc.Polygon([(0.0, 0.0), (2.0, 0.0), (0.0, 1.5)]), None,
+     161, 0.05),
+    ("gaussian", math.pi, tc.Disc((0.0, 0.0), 1.0), 0.1, 83, 0.1),
+    ("gaussian", math.pi, tc.Rect(0.0, 0.0, 0.0, 0.0), None, 33, 0.19908588960628615),
+    ("gaussian", 2.0, tc.Rect(0.0, 0.0, 0.0, 0.0), None, 31, 0.2375378256722757),
+    ("triangle", math.pi, tc.Rect(0.0, 0.0, 0.0, 0.0), None, 69, 0.058823529411764705),
+]
+
+
+def test_auto_grid_pinned():
+    for family, c, region, dt, n, step in _PINNED_GRIDS:
+        g = tc.auto_grid(family, region, c=c, dt=dt)
+        assert (g.n, g.dt) == (n, step), (family, c, tc.region_label(region))
+        tc.make_window(family, g, c=c)  # the family fits: no TruncationError
+
+
+def test_auto_grid_honors_fixed_dt():
+    g = tc.auto_grid("gaussian", tc.Disc((0.0, 0.0), 1.0), dt=0.1)
     assert g.dt == 0.1
 
 
-def test_auto_grid_rejects_oversize(proto_gauss):
+def test_auto_grid_rejects_oversize():
     with pytest.raises(tc.CoverageError):
-        tc.auto_grid(proto_gauss, tc.Disc((0.0, 0.0), 60.0))
+        tc.auto_grid("gaussian", tc.Disc((0.0, 0.0), 60.0))
     with pytest.raises(tc.CoverageError):
         # frequency extent exceeds the band dt supports
-        tc.auto_grid(proto_gauss, tc.Rect(-1.0, 1.0, -6.0, 6.0), dt=0.1)
+        tc.auto_grid("gaussian", tc.Rect(-1.0, 1.0, -6.0, 6.0), dt=0.1)
 
 
 def test_scaling_report_shape(small_report):
@@ -119,16 +140,16 @@ def test_scaling_counts_grow(small_report):
     assert counts[-1] > 0
 
 
-def test_scaling_argument_validation(proto_gauss):
+def test_scaling_argument_validation():
     disc = tc.Disc((0.0, 0.0), 1.0)
     with pytest.raises(tc.DomainError):
-        tc.scaling_experiment(proto_gauss, disc, [])
+        tc.scaling_experiment("gaussian", disc, [])
     with pytest.raises(tc.DomainError):
-        tc.scaling_experiment(proto_gauss, disc, [1.0, -2.0])
+        tc.scaling_experiment("gaussian", disc, [1.0, -2.0])
     with pytest.raises(tc.DomainError):
-        tc.scaling_experiment(proto_gauss, disc, [1.0], 1.5)
+        tc.scaling_experiment("gaussian", disc, [1.0], 1.5)
     with pytest.raises(tc.DomainError):
-        tc.scaling_experiment(proto_gauss, disc, [1.0], 0.5, plunge_band=(0.9, 0.1))
+        tc.scaling_experiment("gaussian", disc, [1.0], 0.5, plunge_band=(0.9, 0.1))
 
 
 def _fake_report(rows_spec):
@@ -146,7 +167,7 @@ def _fake_report(rows_spec):
         )
         for (r, trace, sum_sq, eigs) in rows_spec
     )
-    return tc.ScalingReport("gaussian", "disc 0 0 1", 0.5, (0.1, 0.9), rows)
+    return tc.ScalingReport(0.5, (0.1, 0.9), rows)
 
 
 def test_plunge_fit_all_equal_counts():
@@ -178,8 +199,8 @@ def test_plunge_fit_validation(small_report):
         tc.plunge_fit(short, 0.1, 0.9)
 
 
-def test_hs_error_rate_from_report(small_report, proto_gauss):
-    out = tc.hs_error_rate(proto_gauss, None, None, report=small_report)
+def test_hs_error_rate_from_report(small_report):
+    out = tc.hs_error_rate(small_report)
     assert out["flag"] is None
     assert out["rows_used"] == 3
     assert out["rate"] > 0.0
@@ -187,14 +208,15 @@ def test_hs_error_rate_from_report(small_report, proto_gauss):
 
 def test_hs_error_rate_degenerate():
     report = _fake_report([(r, 2.0, 2.0, [1.0, 1.0]) for r in (1.0, 2.0, 4.0)])
-    out = tc.hs_error_rate(None, None, None, report=report)
+    out = tc.hs_error_rate(report)
     assert out["flag"] == "degenerate"
     assert math.isnan(out["rate"])
 
 
-def test_hs_error_rate_needs_scales(proto_gauss):
+def test_hs_error_rate_needs_scales():
+    report = _fake_report([(r, 2.0, 1.0, [0.5, 0.5]) for r in (1.0, 2.0)])
     with pytest.raises(tc.DomainError):
-        tc.hs_error_rate(proto_gauss, tc.Disc((0.0, 0.0), 1.0), [1.0, 2.0])
+        tc.hs_error_rate(report)
 
 
 # -- densities ---------------------------------------------------------------

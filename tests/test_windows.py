@@ -92,23 +92,11 @@ def test_essential_radius(gauss_window, tri_window):
     assert math.erfc(math.sqrt(2.0 * math.pi) * r) <= 1e-12 * 1.0000001
 
 
-def test_rebuild(gauss_window):
-    g2 = tc.SampleGrid(301, 0.05)
-    w2 = gauss_window.rebuild(g2)
-    assert w2.grid is g2
-    assert w2.family == "gaussian"
-    assert w2.parameter == pytest.approx(math.pi)
-
-
-def test_rebuild_custom_unsupported():
+def test_custom_window_has_no_stock_radii():
+    # no closed-form radii: a custom window keeps its grid, never auto-sized
     g = tc.SampleGrid(101, 0.05)
     w = tc.make_window("custom", g, samples=np.exp(-8.0 * g.times**2))
     with pytest.raises(tc.UnsupportedCaseError):
-        w.rebuild(tc.SampleGrid(51, 0.05))
-
-
-def test_bootstrap_grid_fits():
-    for family, c in [("gaussian", math.pi), ("gaussian", 2.0), ("triangle", math.pi)]:
-        g = tc.bootstrap_grid(family, c)
-        w = tc.make_window(family, g, c=c)  # must not raise TruncationError
-        assert w.signal.norm == pytest.approx(1.0, abs=1e-12)
+        w.essential_radius
+    with pytest.raises(tc.UnsupportedCaseError):
+        tc.auto_grid("custom", tc.Disc((0.0, 0.0), 1.0))
