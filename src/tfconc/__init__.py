@@ -52,7 +52,7 @@ from .operators import (
     phase_space_matrix,
     trace_identity,
 )
-from .hermite import hermite_samples, hermite_signal
+from .hermite import hermite_samples
 from .scaling import (
     SELF_DUAL_SIGMA,
     CustomDensity,
@@ -62,7 +62,6 @@ from .scaling import (
     ScalingRow,
     auto_grid,
     autocorr_integral,
-    decay_condition_check,
     decay_condition_margins,
     hs_error_rate,
     plunge_fit,
@@ -140,7 +139,6 @@ __all__ = [
     "phase_space_eigenvalues",
     # hermite
     "hermite_samples",
-    "hermite_signal",
     # scaling
     "ScalingRow",
     "ScalingReport",
@@ -153,7 +151,6 @@ __all__ = [
     "SELF_DUAL_SIGMA",
     "standard_density",
     "autocorr_integral",
-    "decay_condition_check",
     "decay_condition_margins",
     # decay
     "DecayEnvelope",

@@ -58,7 +58,6 @@ _OPTIONS = {
     "region": (str, "disc 0 0 1.5"),
     "grid": (str, "auto"),
     "out": (str, "."),
-    "seed": (int, 0),
     "scales": (str, None),
     "lam": (float, None),
     "mu": (float, None),
@@ -97,7 +96,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--region", help="disc cx cy r | rect t0 t1 s0 s1 | poly ... | mask <csv>")
         sp.add_argument("--grid", help="auto | N,dt")
         sp.add_argument("--out", help="output directory")
-        sp.add_argument("--seed", type=int, help="seed recorded in the config hash")
         sp.add_argument("--config", help="key=value file; explicit flags win")
         sp.add_argument("--scales", help="comma-separated dilation factors")
         sp.add_argument(
@@ -294,13 +292,12 @@ def cmd_asymptotics(args) -> int:
         family,
         region,
         scales,
-        lam=0.5,
         c=c,
         plunge_band=(lam, mu),
         dt=explicit.dt if explicit is not None else None,
     )
     fits = {
-        "plunge": plunge_fit(report, lam, mu),
+        "plunge": plunge_fit(report),
         "hs_deficit": hs_error_rate(report),
     }
 
@@ -346,7 +343,7 @@ def cmd_decay(args) -> int:
     vanish = kernel_vanishing_check(window, op)
     vanish_status = "skipped" if vanish is None else ("pass" if vanish else "fail")
     rows = _decay_rows(window, spectrum, region, args.epsilon)
-    fourier = fourier_side_check(spectrum, region, k_max=8)
+    fourier = fourier_side_check(spectrum, region)
 
     out = Path(args.out)
     io.write_decay_csv(out / "decay.csv", rows, args.tag)
@@ -360,7 +357,7 @@ def cmd_decay(args) -> int:
     }
 
     try:
-        bench = hermite_benchmark(spectrum, region, k_max=6)
+        bench = hermite_benchmark(spectrum, region)
     except UnsupportedCaseError:  # not the gaussian:pi window on a centred disc
         bench = None
     if bench is not None:

@@ -37,6 +37,10 @@ __all__ = [
 
 #: amplitudes below this are treated as numerically zero when checking decay
 _MEASURE_FLOOR = 1e-14
+#: leading eigenvalues the Fourier-side check compares
+_FOURIER_LEADING = 8
+#: leading eigenvalue clusters the Hermite benchmark compares
+_HERMITE_CLUSTERS = 6
 
 
 class DecayEnvelope(ABC):
@@ -109,11 +113,11 @@ class CustomEnvelope(DecayEnvelope):
         return np.asarray(self.evaluator(np.asarray(s, dtype=float)), dtype=float)
 
 
-def envelope_admissible(gamma: DecayEnvelope, *, eps0: float = 0.5) -> dict:
+def envelope_admissible(gamma: DecayEnvelope) -> dict:
     """Three sampled admissibility conditions; verdicts, never exceptions.
 
     (i) vanishing at infinity, (ii) convergence of the integral of gamma^p at
-    p = 2 and p = 2 - eps0/2 (dyadic tail-ratio test), (iii) bounded
+    p = 2 and p = 7/4 (dyadic tail-ratio test), (iii) bounded
     ``gamma(s - s0) / gamma(s)^(1-eps)`` for small shifts.  Note the envelope
     value at 0 is deliberately not constrained: the standard examples all have
     gamma(0) = 1, and only the behavior at infinity matters downstream.
@@ -132,7 +136,7 @@ def envelope_admissible(gamma: DecayEnvelope, *, eps0: float = 0.5) -> dict:
             ratios.append(t2 / t1 if t1 > 0 else 0.0)
         return {"p": p, "converges": max(ratios) < 0.97, "last_ratio": ratios[-1]}
 
-    p_results = [tail_converges(2.0), tail_converges(2.0 - eps0 / 2.0)]
+    p_results = [tail_converges(2.0), tail_converges(1.75)]
 
     log_floor = math.log(1e-300)
     shift_results = []
@@ -266,16 +270,16 @@ def _principal_cosine(a: np.ndarray, b: np.ndarray, dx: float) -> float:
     return float(np.linalg.svd(dx * (a.conj().T @ b), compute_uv=False).min())
 
 
-def fourier_side_check(spectrum: Spectrum, region: Region, k_max: int = 12) -> dict:
+def fourier_side_check(spectrum: Spectrum, region: Region) -> dict:
     """Cross-check an operator's spectrum against its Fourier-side twin.
 
     ``spectrum`` is the decomposition of the operator for ``region``; its
     window, transformed onto the dual grid and concentrated on the
-    quarter-turned region, must reproduce the spectrum.  Eigenspaces are
-    compared cluster by cluster (principal angles between the transformed
-    eigenfunctions and the dual-side ones).  Only clusters above 1e-3 enter
-    the space comparison -- below that the spans are numerically unstable
-    while the eigenvalue comparison is still meaningful.
+    quarter-turned region, must reproduce the leading 8 eigenvalues.
+    Eigenspaces are compared cluster by cluster (principal angles between the
+    transformed eigenfunctions and the dual-side ones).  Only clusters above
+    1e-3 enter the space comparison -- below that the spans are numerically
+    unstable while the eigenvalue comparison is still meaningful.
     """
     window = spectrum.operator.window
     hat = fourier_transform(window.signal)
@@ -283,7 +287,7 @@ def fourier_side_check(spectrum: Spectrum, region: Region, k_max: int = 12) -> d
     window_hat = Window(hat, "custom", None)
     twin = eigendecompose(assemble(window_hat, region.fourier_rotate()))
 
-    k = min(k_max, len(spectrum.eigenvalues), len(twin.eigenvalues))
+    k = min(_FOURIER_LEADING, len(spectrum.eigenvalues), len(twin.eigenvalues))
     lam1 = spectrum.eigenvalues[:k]
     lam2 = twin.eigenvalues[:k]
     compare = np.maximum(lam1, lam2) > 1e-6
@@ -308,7 +312,7 @@ def fourier_side_check(spectrum: Spectrum, region: Region, k_max: int = 12) -> d
     return {"max_eigenvalue_gap": gap, "max_overlap_defect": defect}
 
 
-def hermite_benchmark(spectrum: Spectrum, region: Region, k_max: int = 6) -> dict:
+def hermite_benchmark(spectrum: Spectrum, region: Region) -> dict:
     """Gaussian window, centered disc: eigenfunctions against the Hermite ladder.
 
     Reads the window and its grid from ``spectrum.operator`` and checks the
@@ -319,9 +323,10 @@ def hermite_benchmark(spectrum: Spectrum, region: Region, k_max: int = 6) -> dic
     symmetry and the classical result applies verbatim.  Other ``c`` would
     need elliptical regions.
 
-    Returns per-cluster principal-angle overlaps against the matching span of
-    Hermite functions, plus a log-linear fit of the post-plunge eigenvalue
-    tail and flags confirming super-polynomial decay.
+    Returns principal-angle overlaps of the leading 6 eigenvalue clusters
+    against the matching span of Hermite functions, plus a log-linear fit of
+    the post-plunge eigenvalue tail and flags confirming super-polynomial
+    decay.
     """
     window = spectrum.operator.window
     if not (
@@ -340,7 +345,7 @@ def hermite_benchmark(spectrum: Spectrum, region: Region, k_max: int = 6) -> dic
     grid = window.grid
 
     lam = spectrum.clamped
-    clusters = _clusters(spectrum.eigenvalues, k_max, floor=1e-3)
+    clusters = _clusters(spectrum.eigenvalues, _HERMITE_CLUSTERS, floor=1e-3)
     n_herm = max((cl.stop for cl in clusters), default=0)
     basis = hermite_samples(grid, max(n_herm, 1))
     overlaps = []

@@ -115,16 +115,15 @@ class PhaseGrid:
         grid: SampleGrid,
         tau_range: tuple[float, float],
         sigma_range: tuple[float, float],
-        pad: float = 0.0,
     ) -> "PhaseGrid":
-        """Smallest integer-offset lattice covering the given ranges (+pad)."""
+        """Smallest integer-offset lattice covering the given ranges."""
         dt, ds = grid.dt, grid.dsigma
         t_lo, t_hi = tau_range
         s_lo, s_hi = sigma_range
-        i0 = _floor_index((t_lo - pad) / dt)
-        i1 = _ceil_index((t_hi + pad) / dt)
-        j0 = _floor_index((s_lo - pad) / ds)
-        j1 = _ceil_index((s_hi + pad) / ds)
+        i0 = _floor_index(t_lo / dt)
+        i1 = _ceil_index(t_hi / dt)
+        j0 = _floor_index(s_lo / ds)
+        j1 = _ceil_index(s_hi / ds)
         j_band = int(np.floor((0.5 / dt) / ds - 0.5))
         j0, j1 = max(j0, -j_band), min(j1, j_band)
         if j1 - j0 + 1 > grid.n:

@@ -15,9 +15,9 @@ import math
 
 import numpy as np
 
-from .grids import SampleGrid, Signal
+from .grids import SampleGrid
 
-__all__ = ["hermite_samples", "hermite_signal"]
+__all__ = ["hermite_samples"]
 
 
 def hermite_samples(grid: SampleGrid, count: int) -> np.ndarray:
@@ -44,8 +44,3 @@ def hermite_samples(grid: SampleGrid, count: int) -> np.ndarray:
         out[:, n + 1] = h
     norms = np.sqrt(grid.dt * np.sum(out * out, axis=0))
     return out / norms
-
-
-def hermite_signal(grid: SampleGrid, order: int) -> Signal:
-    """Single Hermite function of the given order as a unit-norm Signal."""
-    return Signal(grid, hermite_samples(grid, order + 1)[:, order])

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.signal
 
 from .errors import CoverageError, DomainError, NumericalError
 from .gabor import PhaseGrid, analyze
@@ -88,7 +87,6 @@ class Spectrum:
 def assemble(
     window: Window,
     region: Region | RasterizedRegion,
-    phase_grid: PhaseGrid | None = None,
     *,
     oracle: bool = False,
 ) -> ConcentrationOperator:
@@ -108,17 +106,17 @@ def assemble(
     cells with ``g_c`` the explicitly shifted window -- the direct quadrature
     of the kernel formula, kept as an independent slow route.
 
-    Raises CoverageError (via rasterization) if the region does not fit the
-    phase grid.
+    A :class:`Region` is rasterized on the smallest phase grid covering its
+    bounding box; pass a :class:`RasterizedRegion` to choose the lattice or
+    the cell weights.  Raises CoverageError (via rasterization) if the region
+    does not fit the phase grid.
     """
-    grid = window.grid
     if isinstance(region, RasterizedRegion):
         raster = region
     else:
-        if phase_grid is None:
-            t_lo, t_hi, s_lo, s_hi = region.bounding_box()
-            phase_grid = PhaseGrid.cover(grid, (t_lo, t_hi), (s_lo, s_hi))
-        raster = rasterize(region, phase_grid)
+        t_lo, t_hi, s_lo, s_hi = region.bounding_box()
+        pg = PhaseGrid.cover(window.grid, (t_lo, t_hi), (s_lo, s_hi))
+        raster = rasterize(region, pg)
 
     if oracle:
         matrix = _assemble_oracle(window, raster)
@@ -244,23 +242,27 @@ def hs_identity(spectrum: Spectrum) -> dict:
     """Compare ``sum lambda^2`` with the ambiguity double sum over the region.
 
     The Hilbert-Schmidt norm has two independent discrete routes: eigenvalues
-    from the time-side matrix, and ``(dtau dsigma)^2 sum_{pairs} |H(delta)|^2``
-    where pair differences are counted by correlating the raster mask with
-    itself.  Agreement within 1% is enforced; the measured gap is returned.
+    from the time-side matrix, and ``sum_{c, c'} w_c w_c' |H(p_c - p_c')|^2``
+    over pairs of raster cells with weights ``w``, where the weight products
+    are summed per cell difference by correlating the weights with
+    themselves.  Agreement within 1% is enforced; the measured gap is returned.
     """
     op = spectrum.operator
     pg = op.phase_grid
-    mask = op.raster.mask.astype(float)
-    pair_counts = scipy.signal.fftconvolve(mask, mask[::-1, ::-1])
-    pair_counts = np.rint(pair_counts).astype(np.int64)
+    weights = op.raster.weights
+    n_tau, n_sigma = weights.shape
+    # zero-padded to the full lag range, so the circular correlation does not
+    # wrap; the roll puts lag 0 at (n_tau - 1, n_sigma - 1)
+    shape = (2 * n_tau - 1, 2 * n_sigma - 1)
+    spec = np.fft.rfft2(weights, shape)
+    pair_weights = np.roll(
+        np.fft.irfft2(spec * spec.conj(), shape), (n_tau - 1, n_sigma - 1), axis=(0, 1)
+    )
 
-    n_tau, n_sigma = mask.shape
     dtaus = pg.dtau * np.arange(-(n_tau - 1), n_tau)
     dsigmas = pg.dsigma * np.arange(-(n_sigma - 1), n_sigma)
     table = ambiguity_table(op.window, dtaus, dsigmas)
-    double_sum = float(
-        pg.cell_area**2 * np.sum(pair_counts * np.abs(table) ** 2)
-    )
+    double_sum = float(np.sum(pair_weights * np.abs(table) ** 2))
     sum_sq = float(np.sum(spectrum.eigenvalues**2))
     rel_gap = abs(sum_sq - double_sum) / max(double_sum, 1e-300)
     if rel_gap > 0.01:
@@ -296,11 +298,12 @@ def eigenfilter(f: Signal, spectrum: Spectrum, rank: int) -> Signal:
 def phase_space_matrix(op: ConcentrationOperator) -> np.ndarray:
     """Weight-conjugated kernel Gram on the region's cells.
 
-    ``B[c, c'] = dtau dsigma * K(p_c; p_{c'})`` over raster-covered cells; its
-    eigenvalues coincide with the nonzero spectrum of the time-side operator
-    (both are products of the same two rectangular maps, multiplied in the two
-    orders).  The matrix holds cells**2 complex entries, so regions of more
-    than 4096 raster cells raise CoverageError before anything is allocated.
+    ``B[c, c'] = sqrt(w_c w_{c'}) * K(p_c; p_{c'})`` over raster-covered cells
+    with weights ``w``; its eigenvalues coincide with the nonzero spectrum of
+    the time-side operator (both are products of the same two rectangular
+    maps, multiplied in the two orders).  The matrix holds cells**2 complex
+    entries, so regions of more than 4096 raster cells raise CoverageError
+    before anything is allocated.
     """
     cells = op.raster.cell_count
     if cells > _CELL_CAP:
@@ -322,8 +325,8 @@ def phase_space_matrix(op: ConcentrationOperator) -> np.ndarray:
     phases = np.exp(
         1j * np.pi * (taus[:, None] * sigmas[None, :] - sigmas[:, None] * taus[None, :])
     )
-    gram = phases * table[di, dj]
-    return pg.cell_area * gram
+    root_w = np.sqrt(op.raster.weights[ii, jj])
+    return root_w[:, None] * root_w[None, :] * phases * table[di, dj]
 
 
 def phase_space_eigenvalues(op: ConcentrationOperator) -> np.ndarray:

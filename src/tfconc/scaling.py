@@ -42,7 +42,6 @@ __all__ = [
     "SELF_DUAL_SIGMA",
     "standard_density",
     "autocorr_integral",
-    "decay_condition_check",
     "decay_condition_margins",
 ]
 
@@ -72,7 +71,6 @@ def auto_grid(
     *,
     c: float = math.pi,
     dt: float | None = None,
-    margin: float = 1.0,
 ) -> SampleGrid:
     """Sample grid sized for a stock window family on ``region``.
 
@@ -81,7 +79,7 @@ def auto_grid(
     closed-form time and frequency radii, so no window has to exist first.
     The time step resolves the largest modulation in play (region frequency
     extent plus window bandwidth, half-cell slack); the half-width covers the
-    region's time extent plus the window tail plus ``margin``.  ``n`` is odd
+    region's time extent plus the window tail plus one time unit.  ``n`` is odd
     so 0 is a sample.  Orders beyond 2048 raise CoverageError -- dense
     eigensolves past that are out of scope, coarsen or shrink instead.
     Custom windows raise UnsupportedCaseError: they keep their own grid.
@@ -90,7 +88,7 @@ def auto_grid(
     t_half, s_half = _halfwidths(region)
     if dt is None:
         dt = 0.5 / (s_half + bandwidth + 0.5)
-    half_width = t_half + essential + margin
+    half_width = t_half + essential + 1.0
     n = int(math.ceil(2.0 * half_width / dt)) + 1
     if n % 2 == 0:
         n += 1
@@ -123,7 +121,6 @@ class ScalingRow:
 
 @dataclass(frozen=True, eq=False)
 class ScalingReport:
-    lam: float
     plunge_band: tuple[float, float]
     rows: tuple[ScalingRow, ...]  # sorted by r
 
@@ -132,12 +129,10 @@ def scaling_experiment(
     family: str,
     region: Region,
     scales,
-    lam: float = 0.5,
     *,
     c: float = math.pi,
     plunge_band: tuple[float, float] = (0.1, 0.9),
     dt: float | None = None,
-    margin: float = 1.0,
 ) -> ScalingReport:
     """Assemble and diagonalize across dilations, collecting counting data.
 
@@ -147,8 +142,9 @@ def scaling_experiment(
     largest scale unless given), and solves for eigenvalues only.  Scales run
     in a thread pool (the heavy lifting is in BLAS which drops the GIL) of one
     worker per scale, at most ``TFC_THREADS`` (default: the core count).
-    ``n_lambda`` counts eigenvalues ``>= lam`` and ``n_plunge`` those in the
-    closed ``plunge_band``, both through :func:`tfconc.operators.count`.
+    ``n_lambda`` counts eigenvalues ``>= 1/2`` and ``n_plunge`` those in the
+    closed ``plunge_band``, both through :func:`tfconc.operators.count`; the
+    band is checked here once and travels in the report.
     Coverage failures surface per scale, tagged with the offending ``r``.
     Custom windows have no rule to resample them and raise
     UnsupportedCaseError.
@@ -158,19 +154,17 @@ def scaling_experiment(
         raise DomainError("need at least one scale")
     if any(r <= 0 for r in scales):
         raise DomainError(f"scales must be positive, got {scales}")
-    if not 0.0 < lam < 1.0:
-        raise DomainError(f"lam must be in (0, 1), got {lam}")
     lo, hi = plunge_band
     if not 0.0 < lo < hi < 1.0:
         raise DomainError(f"plunge band must satisfy 0 < lo < hi < 1, got {plunge_band}")
 
     if dt is None:
-        dt = auto_grid(family, region.scale(scales[-1]), c=c, margin=margin).dt
+        dt = auto_grid(family, region.scale(scales[-1]), c=c).dt
 
     def run(r: float) -> ScalingRow:
         region_r = region.scale(r)
         try:
-            grid_r = auto_grid(family, region_r, c=c, dt=dt, margin=margin)
+            grid_r = auto_grid(family, region_r, c=c, dt=dt)
             op = assemble(make_window(family, grid_r, c=c), region_r)
         except CoverageError as exc:
             raise CoverageError(f"scale r={r:g}: {exc}") from exc
@@ -181,7 +175,7 @@ def scaling_experiment(
             raster_area=op.raster.area,
             trace=op.trace,
             sum_sq=float(np.sum(eigenvalues**2)),
-            n_lambda=count(eigenvalues, lam),
+            n_lambda=count(eigenvalues, 0.5),
             n_plunge=count(eigenvalues, lo, hi),
             eigenvalues=eigenvalues,
             grid_n=grid_r.n,
@@ -189,7 +183,7 @@ def scaling_experiment(
 
     with ThreadPoolExecutor(_max_workers(len(scales))) as pool:
         rows = tuple(pool.map(run, scales))
-    return ScalingReport(lam, (lo, hi), rows)
+    return ScalingReport((lo, hi), rows)
 
 
 def _fit_loglog(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
@@ -207,24 +201,21 @@ def _fit_loglog(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
     return float(slope), float(intercept), r2
 
 
-def plunge_fit(report: ScalingReport, lam: float, mu: float) -> dict:
+def plunge_fit(report: ScalingReport) -> dict:
     """Log-log fit of the plunge count against scale.
 
-    Counts eigenvalues in ``[lam, mu]`` per row from the stored spectra; rows
-    with fewer than 2 such eigenvalues are dropped (single-eigenvalue counts
-    are discretization noise).  Needs >= 3 scales and >= 2 usable rows, else
-    DomainError -- a one-point fit would be fiction.
+    Fits each row's own ``n_plunge``, the count in the report's
+    ``plunge_band``; rows with fewer than 2 such eigenvalues are dropped
+    (single-eigenvalue counts are discretization noise).  Needs >= 3 scales
+    and >= 2 usable rows, else DomainError -- a one-point fit would be fiction.
     """
-    if not 0.0 < lam < mu < 1.0:
-        raise DomainError(f"need 0 < lam < mu < 1, got lam={lam}, mu={mu}")
     if len(report.rows) < 3:
         raise DomainError(f"plunge fit needs >= 3 scales, got {len(report.rows)}")
     rs, counts = [], []
     for row in report.rows:
-        c = count(row.eigenvalues, lam, mu)
-        if c >= 2:
+        if row.n_plunge >= 2:
             rs.append(row.r)
-            counts.append(c)
+            counts.append(row.n_plunge)
     if len(rs) < 2:
         raise DomainError("plunge fit underdetermined: fewer than 2 usable rows")
     slope, intercept, r2 = _fit_loglog(np.array(rs), np.array(counts, dtype=float))
@@ -262,14 +253,12 @@ def hs_error_rate(report: ScalingReport) -> dict:
 class GaussianDensity:
     """Centered isotropic Gaussian probability density on the plane.
 
-    ``amplitude`` rescales the total mass away from 1 -- useful only for
-    exercising the normalization guard.  Masses over rectangles
+    Masses over rectangles
     (``mass_on_rect``) and discs (``mass_on_disc``) are exact, which gives
     ``autocorr_integral`` its exact inner integral on those regions.
     """
 
     sigma: float = 1.0
-    amplitude: float = 1.0
 
     def __post_init__(self) -> None:
         if not self.sigma > 0:
@@ -279,7 +268,7 @@ class GaussianDensity:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         s2 = self.sigma**2
-        return self.amplitude / (2.0 * math.pi * s2) * np.exp(-(x * x + y * y) / (2.0 * s2))
+        return 1.0 / (2.0 * math.pi * s2) * np.exp(-(x * x + y * y) / (2.0 * s2))
 
     @property
     def extent(self) -> float:
@@ -293,21 +282,21 @@ class GaussianDensity:
         def cdf(z):
             return 0.5 * (1.0 + scipy.special.erf(np.asarray(z) / root2))
 
-        return self.amplitude * (cdf(x_hi) - cdf(x_lo)) * (cdf(y_hi) - cdf(y_lo))
+        return (cdf(x_hi) - cdf(x_lo)) * (cdf(y_hi) - cdf(y_lo))
 
     def mass_on_disc(self, x0, y0, radius):
         """Exact integral over the disc of ``radius`` centred at ``(x0, y0)``.
 
         For ``u`` drawn from this density, ``|u - (x0, y0)|^2 / sigma^2`` is
         noncentral chi-squared with 2 degrees of freedom and noncentrality
-        ``(x0^2 + y0^2) / sigma^2``; the mass is ``amplitude`` times its CDF
-        at ``radius^2 / sigma^2``.  Arguments broadcast together.
+        ``(x0^2 + y0^2) / sigma^2``; the mass is its CDF at
+        ``radius^2 / sigma^2``.  Arguments broadcast together.
         """
         s2 = self.sigma**2
         x0 = np.asarray(x0, dtype=float)
         y0 = np.asarray(y0, dtype=float)
         radius = np.asarray(radius, dtype=float)
-        return self.amplitude * scipy.special.chndtr(
+        return scipy.special.chndtr(
             radius * radius / s2, 2.0, (x0 * x0 + y0 * y0) / s2
         )
 
@@ -481,8 +470,3 @@ def decay_condition_margins(f, p: float, C: float, radii) -> list[dict]:
         bound = C / r**p
         out.append({"r": r, "tail": tail, "bound": bound, "ok": tail <= bound + 1e-12})
     return out
-
-
-def decay_condition_check(f, p: float, C: float, radii) -> bool:
-    """True iff ``|1 - integral of f over B_r| <= C / r^p`` at every radius."""
-    return all(row["ok"] for row in decay_condition_margins(f, p, C, radii))

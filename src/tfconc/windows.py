@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.special import erfcinv
@@ -17,12 +16,7 @@ from scipy.special import erfcinv
 from .errors import DegenerateWindowError, TruncationError, UnsupportedCaseError
 from .grids import SampleGrid, Signal
 
-__all__ = [
-    "Window",
-    "make_window",
-    "gaussian_profile",
-    "triangle_profile",
-]
+__all__ = ["Window", "make_window"]
 
 #: fraction of squared mass allowed outside the grid (or outside the
 #: essential radius) before we call a window truncated
@@ -31,23 +25,6 @@ _TAIL_BUDGET = 1e-12
 #: sqrt(2C) * r at which a Gaussian's squared tail mass erfc(sqrt(2C) r)
 #: drops to the budget
 _GAUSS_TAIL_X = float(erfcinv(_TAIL_BUDGET))
-
-
-def gaussian_profile(c: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Unit-L2-norm Gaussian ``(2c/pi)^(1/4) exp(-c t^2)`` as a callable."""
-    if not c > 0:
-        raise ValueError(f"gaussian parameter must be positive, got {c}")
-    amp = (2.0 * c / np.pi) ** 0.25
-    return lambda t: amp * np.exp(-c * np.asarray(t, dtype=float) ** 2)
-
-
-def triangle_profile() -> Callable[[np.ndarray], np.ndarray]:
-    """Unit-L2-norm triangle ``sqrt(3/2) * max(0, 1 - |t|)``.
-
-    The constant comes from ``int (1-|t|)^2 dt = 2/3``.
-    """
-    amp = math.sqrt(1.5)
-    return lambda t: amp * np.maximum(0.0, 1.0 - np.abs(np.asarray(t, dtype=float)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,13 +135,15 @@ def make_window(
     """
     edge = grid.span + grid.dt / 2.0
     if family == "gaussian":
+        if not c > 0:
+            raise ValueError(f"gaussian parameter must be positive, got {c}")
         tail = math.erfc(math.sqrt(2.0 * c) * edge)
         if tail > _TAIL_BUDGET:
             raise TruncationError(
                 f"gaussian(c={c}) keeps {tail:.3e} of its mass outside the grid "
                 f"(edge {edge:.3g}); budget is {_TAIL_BUDGET}"
             )
-        raw = gaussian_profile(c)(grid.times)
+        raw = (2.0 * c / np.pi) ** 0.25 * np.exp(-c * grid.times**2)
         return Window(_unit(Signal(grid, raw)), "gaussian", float(c))
     if family == "triangle":
         if grid.span < 1.0:
@@ -172,7 +151,8 @@ def make_window(
                 f"triangle support [-1, 1] does not fit a grid of half-width "
                 f"{grid.span:.3g}"
             )
-        raw = triangle_profile()(grid.times)
+        # int (1 - |t|)^2 dt = 2/3 over the support
+        raw = math.sqrt(1.5) * np.maximum(0.0, 1.0 - np.abs(grid.times))
         return Window(_unit(Signal(grid, raw)), "triangle")
     if family == "custom":
         if samples is None:

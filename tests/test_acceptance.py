@@ -138,7 +138,7 @@ def test_criterion_05_counting(disc_report):
 
 def test_criterion_06_plunge_slope(disc_report):
     report, _ = disc_report
-    fit = tc.plunge_fit(report, 0.1, 0.9)
+    fit = tc.plunge_fit(report)
     ok = 0.8 <= fit["slope"] <= 1.2 and fit["r2"] >= 0.9
     _check(
         6,
@@ -186,7 +186,7 @@ def test_criterion_09_hermite():
     region = tc.Disc((0.0, 0.0), 1.5)
     window = tc.make_window("gaussian", tc.auto_grid("gaussian", region))
     spectrum = tc.eigendecompose(tc.assemble(window, region))
-    bench = tc.hermite_benchmark(spectrum, region, k_max=6)
+    bench = tc.hermite_benchmark(spectrum, region)
     min_overlap = float(np.min(bench["overlaps"]))
     ok = min_overlap >= 0.99 and bench["decay_slope"] < 0.0 and bench["r2"] >= 0.95
     _check(
@@ -234,7 +234,7 @@ def test_criterion_11_fourier_covariance(gauss_window, tri_window):
     worst = 0.0
     for window, region in cases:
         spectrum = tc.eigendecompose(tc.assemble(window, region))
-        res = tc.fourier_side_check(spectrum, region, k_max=8)
+        res = tc.fourier_side_check(spectrum, region)
         worst = max(worst, res["max_eigenvalue_gap"])
     _check(11, "fourier covariance", worst <= 1e-6, f"max spectrum gap {worst:.2e}")
 

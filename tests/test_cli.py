@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import subprocess
 import sys
 
 import numpy as np
@@ -386,6 +388,32 @@ def test_config_file_keys(tmp_path, capsys):
         rc = main(["spectrum", "--config", str(cfg), "--out", str(tmp_path)])
         assert rc == 2
         assert key in capsys.readouterr().err
+
+
+def test_seed_is_not_an_option(tmp_path, capsys):
+    # the program draws no random numbers, so there is no seed to set
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--seed", "3", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed=3\n")
+    assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "seed" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_out_scipy_signal():
+    # a fresh interpreter, so that no earlier test's imports count
+    src = os.path.dirname(os.path.dirname(tc.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = "import sys, tfconc.cli; print('scipy.signal' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_bad_grid_spec(tmp_path):

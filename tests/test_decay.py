@@ -133,7 +133,7 @@ def test_kernel_vanishing_custom_box(gauss_grid):
 
 
 def _fourier_side(window, region):
-    return tc.fourier_side_check(tc.eigendecompose(tc.assemble(window, region)), region, 8)
+    return tc.fourier_side_check(tc.eigendecompose(tc.assemble(window, region)), region)
 
 
 def test_fourier_side_gaussian_disc(gauss_window):
@@ -164,7 +164,7 @@ def hermite_disc():
 
 
 def test_hermite_benchmark(hermite_disc):
-    out = tc.hermite_benchmark(*hermite_disc, 6)
+    out = tc.hermite_benchmark(*hermite_disc)
     assert len(out["overlaps"]) == 6
     assert np.min(out["overlaps"]) >= 0.99
     assert out["decay_slope"] < 0.0
@@ -177,7 +177,7 @@ def test_hermite_benchmark(hermite_disc):
 def test_hermite_benchmark_matches_closed_form(hermite_disc):
     from scipy.special import gammainc
 
-    out = tc.hermite_benchmark(*hermite_disc, 6)
+    out = tc.hermite_benchmark(*hermite_disc)
     expect = gammainc(np.arange(1, 7), math.pi * 1.5**2)
     assert np.max(np.abs(out["eigenvalues"][:6] - expect)) < 5e-3
 
@@ -195,4 +195,4 @@ def test_hermite_benchmark_rejects_other_widths(gauss_window, tri_disc_spectrum)
     ]
     for spectrum, case_region in cases:
         with pytest.raises(tc.UnsupportedCaseError):
-            tc.hermite_benchmark(spectrum, case_region, 4)
+            tc.hermite_benchmark(spectrum, case_region)

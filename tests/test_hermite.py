@@ -38,8 +38,8 @@ def test_orthonormal_on_grid(gauss_grid):
 
 
 def test_ground_state_is_gaussian_window(gauss_grid, gauss_window):
-    h0 = tc.hermite_signal(gauss_grid, 0)
-    assert np.max(np.abs(h0.samples - gauss_window.samples)) < 1e-12
+    h0 = tc.hermite_samples(gauss_grid, 1)[:, 0]
+    assert np.max(np.abs(h0 - gauss_window.samples)) < 1e-12
 
 
 def test_parity(gauss_grid):
@@ -52,8 +52,9 @@ def test_parity(gauss_grid):
 
 def test_fourier_eigenvectors(gauss_grid):
     # h_n transforms to (-i)^n h_n
+    cols = tc.hermite_samples(gauss_grid, 4)
     for order in range(4):
-        h = tc.hermite_signal(gauss_grid, order)
+        h = tc.Signal(gauss_grid, cols[:, order])
         hhat = tc.fourier_transform(h)
         expect = (-1j) ** order * h.samples
         assert np.max(np.abs(hhat.samples - expect)) < 1e-8

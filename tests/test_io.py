@@ -130,7 +130,7 @@ def test_scaling_csv(tmp_path):
         eigenvalues=np.array([0.9, 0.8]),
         grid_n=101,
     )
-    report = tc.ScalingReport(0.5, (0.1, 0.9), (row,))
+    report = tc.ScalingReport((0.1, 0.9), (row,))
     path = tmp_path / "scaling.csv"
     tio.write_scaling_csv(path, report, tag="s")
     lines = path.read_text().splitlines()

@@ -13,7 +13,7 @@ from conftest import random_signal
 
 def _empty_op(grid, window):
     pg = tc.PhaseGrid.cover(grid, (-1.0, 1.0), (-1.0, 1.0))
-    return tc.assemble(window, tc.Rect(0.0, 0.0, 0.0, 1.0), pg)
+    return tc.assemble(window, tc.rasterize(tc.Rect(0.0, 0.0, 0.0, 1.0), pg))
 
 
 def test_assemble_empty_region(gauss_grid, gauss_window):
@@ -295,6 +295,28 @@ def test_phase_space_side_spectrum():
     m = int(np.sum(keep))
     assert m > 0
     assert np.max(np.abs(signal_side[keep] - cell_side[:m])) < 1e-6
+
+
+def test_phase_side_oracles_use_cell_weights(rng):
+    # non-uniform weights: both phase-side routes weigh each cell as assembly does
+    g = tc.SampleGrid(48, 0.25)
+    w = tc.make_window("gaussian", g)
+    raster = _raster(w, tc.Disc((0.0, 0.0), 1.0))
+    scaled = tc.RasterizedRegion(
+        raster.phase_grid, raster.weights * rng.uniform(0.2, 1.0, raster.weights.shape)
+    )
+    spectrum = tc.eigendecompose(tc.assemble(w, scaled))
+    signal_side = spectrum.eigenvalues
+    cell_side = tc.phase_space_eigenvalues(spectrum.operator)
+    keep = signal_side > 1e-6
+    m = int(np.sum(keep))
+    assert m > 0
+    assert np.max(np.abs(signal_side[keep] - cell_side[:m])) < 1e-10
+    b = tc.phase_space_matrix(spectrum.operator)
+    sum_sq = float(np.sum(signal_side**2))
+    assert float(np.sum(np.abs(b) ** 2)) == pytest.approx(sum_sq, rel=1e-10)
+    out = tc.hs_identity(spectrum)
+    assert out["rel_gap"] < 1e-10
 
 
 def test_assemble_region_exceeds_grid(gauss_window):

@@ -64,14 +64,14 @@ def _count_calls(monkeypatch, cls):
 
 @pytest.fixture(scope="module")
 def small_report():
-    return tc.scaling_experiment("gaussian", tc.Disc((0.0, 0.0), 1.0), [1.0, 1.5, 2.0], 0.5)
+    return tc.scaling_experiment("gaussian", tc.Disc((0.0, 0.0), 1.0), [1.0, 1.5, 2.0])
 
 
 def test_auto_grid_properties():
     g = tc.auto_grid("gaussian", tc.Disc((0.0, 0.0), 2.0))
     assert g.n % 2 == 1
     assert np.min(np.abs(g.times)) < 1e-12  # zero is a sample
-    # half-width covers region extent + window tail + margin
+    # half-width covers region extent + window tail + one time unit
     window = tc.make_window("gaussian", g)
     assert g.span >= 2.0 + window.essential_radius + 1.0 - g.dt
 
@@ -128,8 +128,8 @@ def test_scaling_row_inequalities(small_report):
     lo, hi = small_report.plunge_band
     for row in small_report.rows:
         assert 0.0 <= row.sum_sq <= row.trace + 1e-10
-        # Markov: n(lam) * lam <= sum of eigenvalues
-        assert row.n_lambda * small_report.lam <= row.trace + 1e-6
+        # Markov: n(1/2) / 2 <= sum of eigenvalues
+        assert row.n_lambda * 0.5 <= row.trace + 1e-6
         # plunge-count step: n(lo, hi) (lo - lo^2) <= trace - sum_sq
         assert row.n_plunge * (lo - lo * lo) <= row.trace - row.sum_sq + 1e-10
 
@@ -147,12 +147,11 @@ def test_scaling_argument_validation():
     with pytest.raises(tc.DomainError):
         tc.scaling_experiment("gaussian", disc, [1.0, -2.0])
     with pytest.raises(tc.DomainError):
-        tc.scaling_experiment("gaussian", disc, [1.0], 1.5)
-    with pytest.raises(tc.DomainError):
-        tc.scaling_experiment("gaussian", disc, [1.0], 0.5, plunge_band=(0.9, 0.1))
+        tc.scaling_experiment("gaussian", disc, [1.0], plunge_band=(0.9, 0.1))
 
 
 def _fake_report(rows_spec):
+    band = (0.1, 0.9)
     rows = tuple(
         tc.ScalingRow(
             r=r,
@@ -160,21 +159,21 @@ def _fake_report(rows_spec):
             raster_area=float(r * r),
             trace=trace,
             sum_sq=sum_sq,
-            n_lambda=0,
-            n_plunge=0,
+            n_lambda=tc.count(np.asarray(eigs, dtype=float), 0.5),
+            n_plunge=tc.count(np.asarray(eigs, dtype=float), *band),
             eigenvalues=np.asarray(eigs, dtype=float),
             grid_n=101,
         )
         for (r, trace, sum_sq, eigs) in rows_spec
     )
-    return tc.ScalingReport(0.5, (0.1, 0.9), rows)
+    return tc.ScalingReport(band, rows)
 
 
 def test_plunge_fit_all_equal_counts():
     report = _fake_report(
         [(r, 3.0, 2.0, [0.5, 0.5, 0.5]) for r in (1.0, 2.0, 4.0)]
     )
-    fit = tc.plunge_fit(report, 0.1, 0.9)
+    fit = tc.plunge_fit(report)
     assert fit["slope"] == pytest.approx(0.0, abs=1e-12)
     assert fit["rows_used"] == 3
 
@@ -188,15 +187,29 @@ def test_plunge_fit_underdetermined():
         ]
     )
     with pytest.raises(tc.DomainError):
-        tc.plunge_fit(report, 0.1, 0.9)
+        tc.plunge_fit(report)
 
 
-def test_plunge_fit_validation(small_report):
-    with pytest.raises(tc.DomainError):
-        tc.plunge_fit(small_report, 0.9, 0.1)
+def test_plunge_fit_validation():
     short = _fake_report([(1.0, 1.0, 0.5, [0.5, 0.5]), (2.0, 1.0, 0.5, [0.5, 0.5])])
     with pytest.raises(tc.DomainError):
-        tc.plunge_fit(short, 0.1, 0.9)
+        tc.plunge_fit(short)
+
+
+def test_plunge_fit_uses_report_band(small_report):
+    # the fit is a log-log fit of each row's count in the report's own band
+    rs, counts = [], []
+    for row in small_report.rows:
+        n = tc.count(row.eigenvalues, *small_report.plunge_band)
+        assert row.n_plunge == n
+        if n >= 2:
+            rs.append(row.r)
+            counts.append(n)
+    slope, intercept = np.polyfit(np.log(rs), np.log(counts), 1)
+    fit = tc.plunge_fit(small_report)
+    assert fit["rows_used"] == len(rs) >= 2
+    assert fit["slope"] == pytest.approx(slope, rel=1e-12)
+    assert fit["intercept"] == pytest.approx(intercept, rel=1e-12, abs=1e-12)
 
 
 def test_hs_error_rate_from_report(small_report):
@@ -232,17 +245,17 @@ def test_gaussian_density_values():
 
 def test_mass_on_disc_centred_closed_form():
     rho = np.linspace(0.0, 5.0, 41)
-    for sigma, amplitude in [(1.0, 1.0), (0.3, 1.0), (tc.SELF_DUAL_SIGMA, 0.7)]:
-        d = tc.GaussianDensity(sigma=sigma, amplitude=amplitude)
-        expect = amplitude * -np.expm1(-(rho**2) / (2.0 * sigma**2))
+    for sigma in (1.0, 0.3, tc.SELF_DUAL_SIGMA):
+        d = tc.GaussianDensity(sigma=sigma)
+        expect = -np.expm1(-(rho**2) / (2.0 * sigma**2))
         got = d.mass_on_disc(0.0, 0.0, rho)
         assert np.max(np.abs(got - expect)) <= 1e-14
 
 
 def test_mass_on_disc_limits():
-    d = tc.GaussianDensity(sigma=0.5, amplitude=0.8)
+    d = tc.GaussianDensity(sigma=0.5)
     # a disc covering the whole plane holds the total mass
-    assert d.mass_on_disc(1.0, -2.0, 1e3) == pytest.approx(0.8, abs=1e-15)
+    assert d.mass_on_disc(1.0, -2.0, 1e3) == pytest.approx(1.0, abs=1e-15)
     # a unit disc 50 sigma away holds essentially nothing
     assert 0.0 <= d.mass_on_disc(25.0, 0.0, 0.5) < 1e-200
 
@@ -277,12 +290,13 @@ def test_standard_density_is_self_dual():
 
 
 def test_normalization_guard():
-    bad = tc.GaussianDensity(sigma=1.0, amplitude=1.2)
+    d = tc.GaussianDensity(sigma=1.0)
+    bad = tc.CustomDensity(lambda x, y: 1.2 * d(x, y), extent=d.extent)
     square = tc.Rect(0.0, 1.0, 0.0, 1.0)
     with pytest.raises(tc.NormalizationError):
         tc.autocorr_integral(bad, square, 2.0)
     with pytest.raises(tc.NormalizationError):
-        tc.decay_condition_check(bad, 1.0, 1.0, [1.0])
+        tc.decay_condition_margins(bad, 1.0, 1.0, [1.0])
 
 
 def test_autocorr_frozen_oracle():
@@ -433,7 +447,6 @@ def test_decay_condition_gaussian_tail():
     for row in rows:
         assert row["tail"] == pytest.approx(math.exp(-math.pi * row["r"] ** 2), rel=1e-6)
         assert row["ok"]
-    assert tc.decay_condition_check(d, 4.0, 1.0, [1.0, 2.0, 3.0])
 
 
 def test_decay_condition_power_law_tail():
@@ -448,8 +461,8 @@ def test_decay_condition_power_law_tail():
         u = 1.0 + row["r"]
         expect = 2.0 * (1.0 / u - 0.5 / u**2)
         assert row["tail"] == pytest.approx(expect, rel=1e-6)
-    assert tc.decay_condition_check(f, 1.0, 2.5, radii)
-    assert not tc.decay_condition_check(f, 2.0, 2.5, radii)
+    assert all(row["ok"] for row in rows)
+    assert not all(row["ok"] for row in tc.decay_condition_margins(f, 2.0, 2.5, radii))
 
 
 def test_decay_condition_binding_radius():

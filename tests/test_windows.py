@@ -68,6 +68,12 @@ def test_custom_truncation():
         tc.make_window("custom", g, samples=np.ones(32))
 
 
+def test_gaussian_rejects_nonpositive_width():
+    for c in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="positive"):
+            tc.make_window("gaussian", tc.SampleGrid(64, 0.1), c=c)
+
+
 def test_unknown_family():
     with pytest.raises(ValueError):
         tc.make_window("hann", tc.SampleGrid(64, 0.1))
