@@ -86,7 +86,9 @@ class PhaseGrid:
 
     @property
     def shift_indices(self) -> np.ndarray:
-        return np.array([self.grid.shift_index(t) for t in self.tau_values])
+        """Grid shift of each tau row: consecutive, as the tau step is ``dt``."""
+        first = self.grid.shift_index(self.tau_values[0])
+        return first + np.arange(len(self.tau_values))
 
     # -- constructors ---------------------------------------------------------
 

@@ -115,7 +115,6 @@ class ScalingRow:
     sum_sq: float
     n_lambda: int
     n_plunge: int
-    eigenvalues: np.ndarray
     grid_n: int
 
 
@@ -177,7 +176,6 @@ def scaling_experiment(
             sum_sq=float(np.sum(eigenvalues**2)),
             n_lambda=count(eigenvalues, 0.5),
             n_plunge=count(eigenvalues, lo, hi),
-            eigenvalues=eigenvalues,
             grid_n=grid_r.n,
         )
 

@@ -61,6 +61,23 @@ def test_full_cover_shape():
     assert pg.tau_values[0] == pytest.approx(-3.2)
 
 
+def test_shift_indices_consecutive(gauss_grid):
+    # the tau step is dt, so row i shifts by the first row's shift plus i
+    even = tc.SampleGrid(48, 0.25)
+    for pg in (
+        tc.PhaseGrid.cover(gauss_grid, (-1.3, 2.1), (-1.0, 1.0)),
+        tc.PhaseGrid.cover(gauss_grid, (-9.0, -8.2), (0.0, 0.5)),
+        tc.PhaseGrid.full_cover(gauss_grid),
+        tc.PhaseGrid.full_cover(even),
+    ):
+        shifts = pg.shift_indices
+        assert shifts.dtype.kind == "i"
+        assert shifts.tolist() == [pg.grid.shift_index(t) for t in pg.tau_values]
+        assert np.all(np.diff(shifts) == 1)
+    for grid, m in ((gauss_grid, 112), (even, 23)):
+        assert tc.PhaseGrid.full_cover(grid).shift_indices[[0, -1]].tolist() == [-m, m]
+
+
 def test_analyze_self_at_origin(gauss_window):
     pg = tc.PhaseGrid.cover(gauss_window.grid, (-0.2, 0.2), (-0.2, 0.2))
     coeffs = tc.analyze(gauss_window.signal, gauss_window, pg)

@@ -127,7 +127,6 @@ def test_scaling_csv(tmp_path):
         sum_sq=3.5,
         n_lambda=4,
         n_plunge=2,
-        eigenvalues=np.array([0.9, 0.8]),
         grid_n=101,
     )
     report = tc.ScalingReport((0.1, 0.9), (row,))

@@ -1,5 +1,7 @@
 """Concentration operator: assembly, spectrum, traces, energies, filtering."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from scipy.special import gammainc
@@ -51,10 +53,45 @@ def _dense_reference(window, raster):
     return 0.5 * (out + out.conj().T)
 
 
+@dataclass(frozen=True)
+class _Reweighted:
+    """``region`` rasterized as usual, its cell weights then scaled by U(0.1, 1)."""
+
+    region: tc.Region
+    seed: int = 99
+
+
 def _raster(window, region):
+    if isinstance(region, _Reweighted):
+        raster = _raster(window, region.region)
+        rng = np.random.default_rng(region.seed)
+        scale = rng.uniform(0.1, 1.0, raster.weights.shape)
+        return tc.RasterizedRegion(raster.phase_grid, raster.weights * scale)
     t_lo, t_hi, s_lo, s_hi = region.bounding_box()
     pg = tc.PhaseGrid.cover(window.grid, (t_lo, t_hi), (s_lo, s_hi))
     return tc.rasterize(region, pg)
+
+
+def _fourier_twin(window):
+    """The unit-norm transformed window that ``fourier_side_check`` assembles."""
+    hat = tc.fourier_transform(window.signal)
+    return tc.Window(tc.Signal(hat.grid, hat.samples / hat.norm), "custom", None)
+
+
+def _chirp(window):
+    """A complex window: ``window`` times a linear chirp ``exp(0.7 pi i t^2)``."""
+    t = window.grid.times
+    chirped = tc.Signal(window.grid, window.samples * np.exp(0.7j * np.pi * t**2))
+    return tc.Window(chirped, "custom", None)
+
+
+def _two_blobs():
+    """Two cell blobs at |tau| in [1.75, 2.75]: the active shift rows have a
+    3.5-wide gap, wider than the triangle window's support."""
+    taus = np.arange(-3.0, 3.01, 0.25)
+    sigmas = np.arange(-1.0, 1.01, 0.25)
+    inside = (np.abs(np.abs(taus)[:, None] - 2.25) <= 0.5) & (np.abs(sigmas) <= 0.5)
+    return tc.Mask(taus, sigmas, inside)
 
 
 @pytest.mark.parametrize(
@@ -66,12 +103,29 @@ def _raster(window, region):
         ("gaussian", tc.Rect(5.0, 7.0, -1.0, 1.0)),  # rows clipped at the grid edge
         ("triangle", tc.Rect(-7.5, -6.0, 0.0, 2.0)),  # rows clipped at the grid edge
         ("gaussian", tc.Rect(0.0, 0.0, 0.0, 1.0)),  # empty: no active rows
+        ("gaussian", _two_blobs()),  # inactive rows between active ones
+        ("triangle", _two_blobs()),
+        ("gaussian", _Reweighted(tc.Disc((0.3, 0.2), 1.2))),  # non-uniform weights
+        ("triangle", _Reweighted(tc.Rect(-1.0, 0.5, -1.5, 1.0))),
+        ("fourier", tc.Disc((0.4, -0.3), 1.2)),  # full-support window: width = n
+        ("chirp", tc.Disc((0.4, -0.3), 1.2)),  # complex window samples
+        # wider than the grid in tau: rows clip at both edges, the outermost
+        # rows' windows miss the grid entirely
+        ("gaussian", tc.Rect(-11.5, 11.5, -0.5, 0.5)),
     ],
 )
 def test_blocked_assembly_matches_dense_reference(
     family, region, gauss_window, tri_window
 ):
-    window = gauss_window if family == "gaussian" else tri_window
+    if family == "fourier":
+        window = _fourier_twin(gauss_window)
+        # its FFT rounding tail keeps every sample above the support cut
+        cut = operators._SUPPORT_TOL * np.abs(window.samples).max()
+        assert np.all(np.abs(window.samples) > cut)
+    elif family == "chirp":
+        window = _chirp(gauss_window)
+    else:
+        window = gauss_window if family == "gaussian" else tri_window
     raster = _raster(window, region)
     got = tc.assemble(window, raster).matrix
     want = _dense_reference(window, raster)
@@ -88,6 +142,24 @@ def test_triangle_zero_outside_support_blocks(tri_window):
         support = np.nonzero(rows[i])[0]
         inside[support[0] : support[-1] + 1, support[0] : support[-1] + 1] = True
     assert not inside.all()
+    assert np.all(matrix[~inside] == 0)
+    assert matrix[inside].any()
+
+
+def test_zero_outside_support_blocks_across_row_gap(tri_window):
+    # the band between the two blobs' blocks, and the cross blocks, stay exact zeros
+    raster = _raster(tri_window, _two_blobs())
+    matrix = tc.assemble(tri_window, raster).matrix
+    n = tri_window.grid.n
+    inside = np.zeros((n, n), dtype=bool)
+    rows = shifted_rows(tri_window.samples, raster.phase_grid.shift_indices)
+    active = np.nonzero(raster.mask.any(axis=1))[0]
+    assert len(active) < active[-1] - active[0] + 1  # the active rows have a gap
+    for i in active:
+        support = np.nonzero(rows[i])[0]
+        inside[support[0] : support[-1] + 1, support[0] : support[-1] + 1] = True
+    band = np.nonzero(np.diagonal(inside))[0]
+    assert not np.diagonal(inside)[band[0] : band[-1] + 1].all()  # a gap in the band
     assert np.all(matrix[~inside] == 0)
     assert matrix[inside].any()
 
@@ -229,6 +301,24 @@ def test_hs_identity(gauss_disc_spectrum):
     assert out["sum_sq"] == pytest.approx(float(np.sum(lam**2)), rel=1e-10)
     assert out["sum_sq"] <= float(np.sum(lam)) + 1e-12
     assert out["rel_gap"] < 0.01
+
+
+def test_hs_identity_catches_small_weight_fault(gauss_disc_spectrum):
+    # one cell weighed 1% heavier in the raster than in the assembled matrix:
+    # a relative gap of about 1.6e-5, far under 1% but far over rounding
+    op = gauss_disc_spectrum.operator
+    weights = op.raster.weights.copy()
+    cells = np.argwhere(weights > 0)
+    i, j = cells[len(cells) // 2]
+    weights[i, j] *= 1.01
+    faulty = tc.ConcentrationOperator(
+        op.window, tc.RasterizedRegion(op.phase_grid, weights), op.matrix
+    )
+    spectrum = tc.Spectrum(
+        faulty, gauss_disc_spectrum.eigenvalues, gauss_disc_spectrum.eigenfunctions
+    )
+    with pytest.raises(tc.NumericalError, match="Hilbert-Schmidt"):
+        tc.hs_identity(spectrum)
 
 
 def test_hs_identity_empty(gauss_grid, gauss_window):

@@ -161,7 +161,6 @@ def _fake_report(rows_spec):
             sum_sq=sum_sq,
             n_lambda=tc.count(np.asarray(eigs, dtype=float), 0.5),
             n_plunge=tc.count(np.asarray(eigs, dtype=float), *band),
-            eigenvalues=np.asarray(eigs, dtype=float),
             grid_n=101,
         )
         for (r, trace, sum_sq, eigs) in rows_spec
@@ -197,10 +196,19 @@ def test_plunge_fit_validation():
 
 
 def test_plunge_fit_uses_report_band(small_report):
-    # the fit is a log-log fit of each row's count in the report's own band
+    # the fit is a log-log fit of each row's count in the report's own band,
+    # recounted on a spectrum solved afresh at each scale (the sweep's grid:
+    # dt from the largest scale, n from the row's own)
+    disc = tc.Disc((0.0, 0.0), 1.0)
+    dt = tc.auto_grid("gaussian", disc.scale(small_report.rows[-1].r)).dt
     rs, counts = [], []
     for row in small_report.rows:
-        n = tc.count(row.eigenvalues, *small_report.plunge_band)
+        region = disc.scale(row.r)
+        grid = tc.auto_grid("gaussian", region, dt=dt)
+        assert grid.n == row.grid_n
+        window = tc.make_window("gaussian", grid)
+        spectrum = tc.eigendecompose(tc.assemble(window, region))
+        n = tc.count(spectrum.eigenvalues, *small_report.plunge_band)
         assert row.n_plunge == n
         if n >= 2:
             rs.append(row.r)
