@@ -29,9 +29,12 @@ from .decay import (
     PowerLaw,
     StretchedExp,
     decay_check,
+    decay_columns,
+    envelope_rows,
     fourier_side_check,
     hermite_benchmark,
     kernel_vanishing_check,
+    splits_cluster,
 )
 from .errors import ConfigError, NumericalError, TfcError, UnsupportedCaseError
 from .grids import SampleGrid, fourier_transform, grids_compatible
@@ -251,11 +254,12 @@ def cmd_spectrum(args) -> int:
     region = parse_region(args.region)
     window = _window_for(args, region)
     op = assemble(window, region, oracle=bool(args.oracle))
-    spectrum = eigendecompose(op)
+    rank = max(0, min(args.rank or 0, window.grid.n))
+    spectrum = eigendecompose(op, vectors=rank)
 
     out = Path(args.out)
     io.write_spectrum_csv(out / "spectrum.csv", spectrum.eigenvalues, args.tag)
-    for k in range(min(args.rank or 0, len(spectrum.eigenvalues))):
+    for k in range(rank):
         io.write_signal_csv(out / f"eigfun_{k}.csv", spectrum.eigenfunction(k), args.tag)
     io.write_json(
         out / "summary.json",
@@ -315,7 +319,7 @@ def _decay_rows(window: Window, spectrum, region: Region, epsilon: float):
     """Per-eigenfunction envelope checks on the side where decay is nontrivial."""
     t_lo, t_hi, s_lo, s_hi = region.bounding_box()
     rows = []
-    keep = [k for k, lam in enumerate(spectrum.clamped) if lam > 1e-4][:16]
+    keep = range(envelope_rows(spectrum.eigenvalues))
     if window.family == "gaussian":
         gamma = StretchedExp(window.parameter, 2.0)
         t_min = max(abs(t_lo), abs(t_hi)) + window.essential_radius + 1.0
@@ -338,7 +342,7 @@ def cmd_decay(args) -> int:
     region = parse_region(args.region)
     window = _window_for(args, region)
     op = assemble(window, region, oracle=bool(args.oracle))
-    spectrum = eigendecompose(op)
+    spectrum = eigendecompose(op, vectors=decay_columns(window, region))
 
     vanish = kernel_vanishing_check(window, op)
     vanish_status = "skipped" if vanish is None else ("pass" if vanish else "fail")
@@ -392,7 +396,7 @@ def cmd_filter(args) -> int:
     window = _window(args, signal.grid)
     region = parse_region(args.region)
     op = assemble(window, region, oracle=bool(args.oracle))
-    spectrum = eigendecompose(op)
+    spectrum = eigendecompose(op, vectors=min(args.rank, window.grid.n))
     filtered = eigenfilter(signal, spectrum, args.rank)
 
     out = Path(args.out)
@@ -401,6 +405,7 @@ def cmd_filter(args) -> int:
         out / "filter_report.json",
         {
             "rank": args.rank,
+            "rank_splits_cluster": splits_cluster(spectrum.eigenvalues, args.rank),
             "input_energy": signal.norm**2,
             "output_energy": filtered.norm**2,
             "region_energy_input": energy(signal, window, op.raster),

@@ -15,11 +15,18 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import blas, lapack
 
 from .errors import DomainError, UnsupportedCaseError
 from .grids import Signal, fourier_transform, inverse_fourier_transform
 from .hermite import hermite_samples
-from .operators import ConcentrationOperator, Spectrum, assemble, eigendecompose
+from .operators import (
+    ConcentrationOperator,
+    Spectrum,
+    _lapack_ok,
+    assemble,
+    eigendecompose,
+)
 from .regions import Disc, Region, region_label
 from .windows import Window
 
@@ -41,6 +48,12 @@ _MEASURE_FLOOR = 1e-14
 _FOURIER_LEADING = 8
 #: leading eigenvalue clusters the Hermite benchmark compares
 _HERMITE_CLUSTERS = 6
+#: ``tfc decay`` checks the envelope of at most this many leading
+#: eigenfunctions, each with an eigenvalue above ``_ENVELOPE_FLOOR``
+_ENVELOPE_ROWS = 16
+_ENVELOPE_FLOOR = 1e-4
+#: neighbouring eigenvalues closer than this belong to one cluster
+_CLUSTER_GAP = 1e-6
 
 
 class DecayEnvelope(ABC):
@@ -255,7 +268,7 @@ def _clusters(eigenvalues: np.ndarray, count: int, floor: float) -> list[range]:
     groups: list[range] = []
     start = 0
     for i in range(1, len(eigenvalues) + 1):
-        done = i == len(eigenvalues) or eigenvalues[i - 1] - eigenvalues[i] >= 1e-6
+        done = i == len(eigenvalues) or not splits_cluster(eigenvalues, i)
         if done:
             if eigenvalues[start] > floor:
                 groups.append(range(start, i))
@@ -265,9 +278,52 @@ def _clusters(eigenvalues: np.ndarray, count: int, floor: float) -> list[range]:
     return groups[:count]
 
 
+def splits_cluster(eigenvalues: np.ndarray, k: int) -> bool:
+    """Whether a cut after the leading ``k`` eigenvalues falls inside a
+    near-degenerate run (gap below 1e-6), where the span of the leading ``k``
+    eigenfunctions depends on rounding."""
+    return 0 < k < len(eigenvalues) and eigenvalues[k - 1] - eigenvalues[k] < _CLUSTER_GAP
+
+
+def _fourier_clusters(eigenvalues: np.ndarray) -> list[range]:
+    """The clusters whose spans :func:`fourier_side_check` compares: those
+    above 1e-3 that end within the leading 8."""
+    k = min(_FOURIER_LEADING, len(eigenvalues))
+    return [cl for cl in _clusters(eigenvalues, k, floor=1e-3) if cl.stop <= k]
+
+
+def _hermite_clusters(eigenvalues: np.ndarray) -> list[range]:
+    """The clusters :func:`hermite_benchmark` compares with Hermite spans."""
+    return _clusters(eigenvalues, _HERMITE_CLUSTERS, floor=1e-3)
+
+
+def _end(clusters: list[range]) -> int:
+    return max((cl.stop for cl in clusters), default=0)
+
+
+def envelope_rows(eigenvalues: np.ndarray) -> int:
+    """How many leading eigenfunctions get an envelope check in ``tfc decay``."""
+    return min(_ENVELOPE_ROWS, int(np.count_nonzero(eigenvalues > _ENVELOPE_FLOOR)))
+
+
+def decay_columns(window: Window, region: Region):
+    """The leading eigenfunction count ``tfc decay`` reads, as a function of
+    the descending eigenvalues (the ``vectors`` of :func:`eigendecompose`):
+    the envelope rows, the Fourier-side clusters and, where the Hermite
+    benchmark applies to ``window`` and ``region``, its clusters."""
+    hermite = _hermite_unsupported(window, region) is None
+
+    def columns(eigenvalues: np.ndarray) -> int:
+        need = max(envelope_rows(eigenvalues), _end(_fourier_clusters(eigenvalues)))
+        return max(need, _end(_hermite_clusters(eigenvalues))) if hermite else need
+
+    return columns
+
+
 def _principal_cosine(a: np.ndarray, b: np.ndarray, dx: float) -> float:
     """Smallest principal-angle cosine between two orthonormal column spans."""
-    return float(np.linalg.svd(dx * (a.conj().T @ b), compute_uv=False).min())
+    gram = blas.zgemm(dx, a, b, trans_a=2)
+    return float(_lapack_ok("zgesdd", *lapack.zgesdd(gram, compute_uv=0))[1].min())
 
 
 def fourier_side_check(spectrum: Spectrum, region: Region) -> dict:
@@ -278,16 +334,22 @@ def fourier_side_check(spectrum: Spectrum, region: Region) -> dict:
     quarter-turned region, must reproduce the leading 8 eigenvalues.
     Eigenspaces are compared cluster by cluster (principal angles between the
     transformed eigenfunctions and the dual-side ones).  Only clusters above
-    1e-3 enter the space comparison -- below that the spans are numerically
-    unstable while the eigenvalue comparison is still meaningful.
+    1e-3 that end within the leading 8 enter the space comparison -- below
+    that the spans are numerically unstable while the eigenvalue comparison
+    is still meaningful.  ``spectrum`` must hold the eigenfunctions of those
+    clusters, else DomainError; the twin computes only those.
     """
+    clusters = _fourier_clusters(spectrum.eigenvalues)
+    need = _end(clusters)
+    spectrum.leading(need)
     window = spectrum.operator.window
     hat = fourier_transform(window.signal)
     hat = Signal(hat.grid, hat.samples / hat.norm)
     window_hat = Window(hat, "custom", None)
-    twin = eigendecompose(assemble(window_hat, region.fourier_rotate()))
+    twin = eigendecompose(assemble(window_hat, region.fourier_rotate()), vectors=need)
 
-    k = min(_FOURIER_LEADING, len(spectrum.eigenvalues), len(twin.eigenvalues))
+    # the twin lives on the dual grid, which has the same n
+    k = min(_FOURIER_LEADING, len(spectrum.eigenvalues))
     lam1 = spectrum.eigenvalues[:k]
     lam2 = twin.eigenvalues[:k]
     compare = np.maximum(lam1, lam2) > 1e-6
@@ -295,9 +357,7 @@ def fourier_side_check(spectrum: Spectrum, region: Region) -> dict:
 
     defect = 0.0
     dual_dt = window.grid.dual.dt
-    for cluster in _clusters(spectrum.eigenvalues, k, floor=1e-3):
-        if cluster.stop > k:
-            break
+    for cluster in clusters:
         # the quarter turn used here is the *preimage* map, so eigenfunctions
         # transport along the inverse transform (forward FT lands on the
         # mirrored region instead, which only matches for symmetric regions)
@@ -310,6 +370,25 @@ def fourier_side_check(spectrum: Spectrum, region: Region) -> dict:
         native = twin.eigenfunctions[:, cluster.start : cluster.stop]
         defect = max(defect, 1.0 - _principal_cosine(transported, native, dual_dt))
     return {"max_eigenvalue_gap": gap, "max_overlap_defect": defect}
+
+
+def _hermite_unsupported(window: Window, region: Region) -> str | None:
+    """Why the Hermite benchmark does not apply to ``window`` on ``region``,
+    or None when it does."""
+    if not (
+        window.family == "gaussian"
+        and math.isclose(window.parameter, math.pi, rel_tol=1e-12)
+    ):
+        return (
+            f"hermite benchmark needs the gaussian:pi window (isotropic case), "
+            f"got {window.label}"
+        )
+    if not (isinstance(region, Disc) and region.center == (0.0, 0.0)):
+        return (
+            f"hermite benchmark needs a disc centered at the origin, got "
+            f"{region_label(region)}"
+        )
+    return None
 
 
 def hermite_benchmark(spectrum: Spectrum, region: Region) -> dict:
@@ -329,32 +408,21 @@ def hermite_benchmark(spectrum: Spectrum, region: Region) -> dict:
     decay.
     """
     window = spectrum.operator.window
-    if not (
-        window.family == "gaussian"
-        and math.isclose(window.parameter, math.pi, rel_tol=1e-12)
-    ):
-        raise UnsupportedCaseError(
-            f"hermite benchmark needs the gaussian:pi window (isotropic case), "
-            f"got {window.label}"
-        )
-    if not (isinstance(region, Disc) and region.center == (0.0, 0.0)):
-        raise UnsupportedCaseError(
-            f"hermite benchmark needs a disc centered at the origin, got "
-            f"{region_label(region)}"
-        )
+    unsupported = _hermite_unsupported(window, region)
+    if unsupported is not None:
+        raise UnsupportedCaseError(unsupported)
     grid = window.grid
 
     lam = spectrum.clamped
-    clusters = _clusters(spectrum.eigenvalues, _HERMITE_CLUSTERS, floor=1e-3)
-    n_herm = max((cl.stop for cl in clusters), default=0)
+    clusters = _hermite_clusters(spectrum.eigenvalues)
+    n_herm = _end(clusters)
+    vectors = spectrum.leading(n_herm)
     basis = hermite_samples(grid, max(n_herm, 1))
     overlaps = []
     for cl in clusters:
         overlaps.append(
             _principal_cosine(
-                spectrum.eigenfunctions[:, cl.start : cl.stop],
-                basis[:, cl.start : cl.stop],
-                grid.dt,
+                vectors[:, cl.start : cl.stop], basis[:, cl.start : cl.stop], grid.dt
             )
         )
 

@@ -9,12 +9,14 @@ so every spectrum lives in ``[0, 1]`` up to solver rounding.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
+from scipy.linalg import blas, lapack
 
 from .errors import CoverageError, DomainError, NumericalError
 from .gabor import PhaseGrid, analyze
-from .grids import SampleGrid, Signal
+from .grids import SampleGrid, Signal, _require_same_grid
 from .kernels import ambiguity_table
 from .regions import RasterizedRegion, Region, rasterize
 from .windows import Window
@@ -35,6 +37,8 @@ __all__ = [
 
 _HERMITIAN_TOL = 1e-12
 _EIG_RANGE_TOL = 1e-8
+#: entries within this relative distance of a column's largest modulus tie
+_PHASE_TIE = 1e-6
 #: window samples at or below this fraction of the peak lie outside a row's support
 _SUPPORT_TOL = 1e-17
 #: phase_space_matrix beyond this many cells needs gigabytes (cells**2 entries)
@@ -71,14 +75,33 @@ class ConcentrationOperator:
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Full eigendecomposition, eigenvalues descending, raw (un-clamped)."""
+    """Every eigenvalue, descending and raw (un-clamped), and the leading
+    eigenfunctions: as many columns as :func:`eigendecompose` was asked for."""
 
     operator: ConcentrationOperator
     eigenvalues: np.ndarray
     eigenfunctions: np.ndarray  # column k, unit norm in the grid inner product
 
+    def leading(self, count: int) -> np.ndarray:
+        """The first ``count`` eigenfunction columns."""
+        self._require(count)
+        return self.eigenfunctions[:, :count]
+
     def eigenfunction(self, k: int) -> Signal:
+        if k < 0:
+            raise DomainError(f"eigenfunction index must be >= 0, got {k}")
+        self._require(k + 1)
         return Signal(self.operator.grid, self.eigenfunctions[:, k])
+
+    def _require(self, count: int) -> None:
+        """DomainError past the computed columns, so a short spectrum never
+        passes for a full one."""
+        computed = self.eigenfunctions.shape[1]
+        if count > computed:
+            raise DomainError(
+                f"{count} leading eigenfunctions needed, {computed} computed; "
+                "ask eigendecompose for more vectors"
+            )
 
     @property
     def clamped(self) -> np.ndarray:
@@ -216,39 +239,113 @@ def _assemble_oracle(window: Window, raster: RasterizedRegion) -> np.ndarray:
     return out
 
 
-def eigendecompose(op: ConcentrationOperator) -> Spectrum:
-    """Dense Hermitian eigendecomposition of ``dt * matrix``.
+def eigendecompose(
+    op: ConcentrationOperator, vectors: int | Callable[[np.ndarray], int] | None = None
+) -> Spectrum:
+    """Every eigenvalue of ``dt * matrix`` and its leading eigenfunctions.
+
+    ``vectors`` is the number of leading eigenfunctions to compute, or a
+    function of the descending eigenvalues that returns it; None computes all
+    ``n``.  One Householder reduction to real tridiagonal form (LAPACK
+    ``zhetrd``) serves both halves: ``dsterf`` gives every eigenvalue, and
+    the MRRR solver ``dstemr`` gives only the eigenvectors in the leading
+    index range, at ``O(n k)`` cost, before the reflectors carry them back
+    (``zunmqr``).  No ``n x n`` eigenvector matrix is formed unless all are
+    asked for.  The dense linear algebra goes through ``scipy.linalg`` only,
+    so one OpenBLAS library runs on the operator path.
 
     Eigenvalues are returned raw and descending; they must land in
     ``[-1e-8, 1 + 1e-8]`` or a NumericalError is raised (the discrete operator
-    is PSD and norm-bounded by one, so anything worse means a broken matrix).
-    Eigenfunctions are scaled to unit grid norm.
+    is PSD and norm-bounded by one, so anything worse means a broken matrix),
+    as is a matrix that is not Hermitian or a LAPACK failure.  Eigenfunctions
+    have unit grid norm and a canonical phase: the first entry within a
+    relative 1e-6 of the largest modulus is real and positive.  Inside a
+    near-degenerate cluster the basis itself still depends on rounding.
     """
-    vals, vecs = _checked_eigh(op, vectors=True)
-    return Spectrum(op, vals, vecs / np.sqrt(op.grid.dt))
-
-
-def _checked_eigh(op: ConcentrationOperator, *, vectors: bool):
-    """Descending eigenvalues of ``dt * matrix`` and, with ``vectors``, the
-    matching unit-Euclidean-norm columns (else None).
-
-    Raises NumericalError if the matrix is not Hermitian or the spectrum
-    leaves ``[0, 1]`` beyond tolerance.
-    """
-    a = op.grid.dt * op.matrix
-    herm_gap = float(np.abs(a - a.conj().T).max())
-    if herm_gap > _HERMITIAN_TOL * max(1.0, float(np.abs(a).max())):
+    n = op.grid.n
+    dt = op.grid.dt
+    herm_gap = dt * float(np.abs(op.matrix - op.matrix.conj().T).max())
+    if herm_gap > _HERMITIAN_TOL * max(1.0, dt * float(np.abs(op.matrix).max())):
         raise NumericalError(f"operator matrix lost Hermitian symmetry ({herm_gap:.2e})")
-    if vectors:
-        vals, vecs = np.linalg.eigh(a)
-        vals, vecs = vals[::-1], vecs[:, ::-1]
-    else:
-        vals, vecs = np.linalg.eigvalsh(a)[::-1], None
+
+    a = np.empty((n, n), dtype=np.complex128, order="F")
+    np.multiply(op.matrix, dt, out=a)
+    lwork = int(_lapack_ok("zhetrd_lwork", *lapack.zhetrd_lwork(n, lower=1)).real)
+    reflectors, diag, off, tau = _lapack_ok(
+        "zhetrd", *lapack.zhetrd(a, lower=1, lwork=lwork, overwrite_a=1)
+    )
+    vals = _lapack_ok("dsterf", *lapack.dsterf(diag, off))[::-1]
     if vals[-1] < -_EIG_RANGE_TOL or vals[0] > 1.0 + _EIG_RANGE_TOL:
         raise NumericalError(
             f"eigenvalues [{vals[-1]:.3e}, {vals[0]:.3e}] leave [0, 1] beyond tolerance"
         )
-    return vals, vecs
+
+    k = vectors(vals) if callable(vectors) else (n if vectors is None else vectors)
+    if not 0 <= k <= n:
+        raise DomainError(f"vectors must be in [0, {n}], got {k}")
+    vecs = np.empty((n, k), dtype=np.complex128, order="F")
+    if k:
+        vecs[:] = _tridiagonal_vectors(diag, off, vals, k)
+        # Q = H(1) ... H(n-1) acts on rows 1..n-1; reflector i lives below
+        # the subdiagonal of column i, a QR-shaped block
+        block, rows = reflectors[1:, : n - 1], vecs[1:]
+        _, work = _lapack_ok("zunmqr", *lapack.zunmqr("L", "N", block, tau, rows, -1))
+        lwork = int(work[0].real)
+        rows[:] = _lapack_ok("zunmqr", *lapack.zunmqr("L", "N", block, tau, rows, lwork))[0]
+        vecs *= _canonical_phase(vecs) / np.sqrt(dt)
+    return Spectrum(op, vals, vecs)
+
+
+def _tridiagonal_vectors(
+    diag: np.ndarray, off: np.ndarray, vals: np.ndarray, k: int
+) -> np.ndarray:
+    """Eigenvectors of the leading ``k`` of ``vals`` (descending) for the real
+    tridiagonal matrix ``diag``/``off``, by MRRR (``dstemr``), descending.
+
+    The index range reaches one past the wanted ones: an MRRR vector at the
+    range's lower edge can converge to the eigenvalue just outside it (seen
+    with a single wanted index inside a cluster of width 1e-11), and that
+    vector is dropped.  Each kept vector's own eigenvalue must match ``vals``
+    to ``n * eps`` (the backward error bound, the operator's norm being at
+    most one), else NumericalError.
+    """
+    n = len(diag)
+    want = min(n, k + 1)
+    # dstemr wants the off-diagonal padded to length n; the 1-based ascending
+    # index range n-want+1..n is the leading ``want``
+    stemr = (diag, np.append(off, 0.0), 2, 0.0, 1.0, n - want + 1, n)
+    lw, liw = _lapack_ok("dstemr_lwork", *lapack.dstemr_lwork(*stemr))
+    found, own, z = _lapack_ok(
+        "dstemr", *lapack.dstemr(*stemr, lwork=int(lw), liwork=int(liw))
+    )
+    if found != want:
+        raise NumericalError(f"dstemr returned {found} of {want} eigenvectors")
+    # ascending: the wanted columns are the last k
+    mismatch = float(np.abs(own[want - k : want] - vals[:k][::-1]).max())
+    if mismatch > n * np.finfo(np.float64).eps:
+        raise NumericalError(f"dstemr eigenvectors off their eigenvalues by {mismatch:.2e}")
+    return z[:, want - k : want][:, ::-1]
+
+
+def _lapack_ok(name: str, *outputs):
+    """The outputs of a LAPACK wrapper before its trailing ``info``, which must be 0."""
+    *values, info = outputs
+    if info != 0:
+        raise NumericalError(f"LAPACK {name} failed (info={info})")
+    return values[0] if len(values) == 1 else values
+
+
+def _canonical_phase(vecs: np.ndarray) -> np.ndarray:
+    """Per column, the unit factor that makes its leading entry real and positive.
+
+    The leading entry is the first whose modulus is within a relative 1e-6 of
+    the column's largest, so rounding cannot move it between the mirrored
+    peaks of a symmetric eigenfunction.
+    """
+    mod = np.abs(vecs)
+    lead = np.argmax(mod >= (1.0 - _PHASE_TIE) * mod.max(axis=0), axis=0)
+    peak = vecs[lead, np.arange(vecs.shape[1])]
+    return peak.conj() / np.abs(peak)
 
 
 def count(eigenvalues: np.ndarray, lo: float, hi: float = 1.0) -> int:
@@ -336,14 +433,16 @@ def energy(f: Signal, window: Window, raster: RasterizedRegion) -> float:
 
 def eigenfilter(f: Signal, spectrum: Spectrum, rank: int) -> Signal:
     """Orthogonal projection of ``f`` onto the span of the top ``rank``
-    eigenfunctions."""
+    eigenfunctions; the spectrum must hold at least ``rank`` of them, on the
+    grid of ``f``."""
+    _require_same_grid(f.grid, spectrum.operator.grid, "eigenfilter")
     n = len(spectrum.eigenvalues)
     if not 1 <= rank <= n:
         raise DomainError(f"rank must be in [1, {n}], got {rank}")
-    basis = spectrum.eigenfunctions[:, :rank]
+    basis = spectrum.leading(rank)
     dt = spectrum.operator.grid.dt
-    coefs = dt * (basis.conj().T @ f.samples)
-    return Signal(f.grid, basis @ coefs)
+    coefs = blas.zgemv(dt, basis, f.samples, trans=2)
+    return Signal(f.grid, blas.zgemv(1.0, basis, coefs))
 
 
 def phase_space_matrix(op: ConcentrationOperator) -> np.ndarray:

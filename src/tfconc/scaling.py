@@ -26,7 +26,7 @@ from .errors import (
     NumericalError,
 )
 from .grids import SampleGrid
-from .operators import _checked_eigh, assemble, count
+from .operators import assemble, count, eigendecompose
 from .regions import Disc, Rect, Region
 from .windows import _stock_radii, make_window
 
@@ -167,7 +167,7 @@ def scaling_experiment(
             op = assemble(make_window(family, grid_r, c=c), region_r)
         except CoverageError as exc:
             raise CoverageError(f"scale r={r:g}: {exc}") from exc
-        eigenvalues, _ = _checked_eigh(op, vectors=False)
+        eigenvalues = eigendecompose(op, vectors=0).eigenvalues
         return ScalingRow(
             r=r,
             area=region_r.area(),

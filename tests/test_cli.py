@@ -1,5 +1,6 @@
 """End-to-end command-line runs: artifacts, determinism, exit codes."""
 
+import dataclasses
 import json
 import math
 import os
@@ -200,15 +201,115 @@ def test_decay_solves_each_operator_once(tmp_path, monkeypatch, window, region, 
     # benchmark reads the operator's spectrum)
     calls = []
 
-    def counted(op):
+    def counted(op, vectors=None):
         calls.append(op.grid.n)
-        return tc.eigendecompose(op)
+        return tc.eigendecompose(op, vectors=vectors)
 
     monkeypatch.setattr("tfconc.cli.eigendecompose", counted)
     monkeypatch.setattr("tfconc.decay.eigendecompose", counted)
     rc = main(["decay", "--window", window, "--region", region, "--out", str(tmp_path)])
     assert rc == 0
     assert len(calls) == solves
+
+
+class _ReadColumns(np.ndarray):
+    """Eigenvector columns that record which of them their callers index."""
+
+    def __getitem__(self, key):
+        cols = key[1] if isinstance(key, tuple) and len(key) > 1 else slice(None)
+        self.read.update(np.arange(self.shape[1])[cols].ravel().tolist())
+        return np.asarray(self)[key]
+
+
+def _record_solves(monkeypatch):
+    """Patch every CLI-path eigensolve; each solve appends (columns computed,
+    set of columns its callers read)."""
+    solves = []
+    solve = tc.eigendecompose
+
+    def recorded(op, vectors=None):
+        spectrum = solve(op, vectors=vectors)
+        tracked = spectrum.eigenfunctions.view(_ReadColumns)
+        tracked.read = set()
+        solves.append((tracked.shape[1], tracked.read))
+        return dataclasses.replace(spectrum, eigenfunctions=tracked)
+
+    for module in ("tfconc.cli", "tfconc.decay", "tfconc.scaling"):
+        monkeypatch.setattr(f"{module}.eigendecompose", recorded)
+    return solves
+
+
+def _noise_signal(path, n=49, dt=0.25):
+    grid = tc.SampleGrid(n, dt)
+    rng = np.random.default_rng(42)
+    vals = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    tio.write_signal_csv(path, tc.Signal(grid, vals))
+    return path
+
+
+@pytest.mark.parametrize(
+    "argv, computed",
+    [
+        (["spectrum", "--region", "disc 0 0 1.5"], [0]),
+        (["spectrum", "--region", "disc 0 0 1.5", "--rank", "4"], [4]),
+        (["filter", "--region", "disc 0 0 1.5", "--rank", "32"], [32]),
+        (["asymptotics", "--region", "disc 0 0 1", "--scales", "1,1.5,2"], [0, 0, 0]),
+    ],
+    ids=["spectrum", "spectrum-rank-4", "filter-rank-32", "asymptotics-3-scales"],
+)
+def test_each_command_computes_the_vectors_it_reads(tmp_path, monkeypatch, argv, computed):
+    if argv[0] == "filter":
+        argv = [*argv, "--input", str(_noise_signal(tmp_path / "noise.csv"))]
+    solves = _record_solves(monkeypatch)
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    assert [cols for cols, _ in solves] == computed
+    for cols, read in solves:
+        assert read == set(range(cols))
+
+
+@pytest.mark.parametrize(
+    "window, region", [("gaussian:pi", "disc 0 0 1.5"), ("triangle", "disc 0 0 1")]
+)
+def test_decay_computes_exactly_the_columns_it_reads(tmp_path, monkeypatch, window, region):
+    # the operator: envelope rows, Fourier and (gaussian:pi only) Hermite
+    # clusters; the twin: the Fourier clusters
+    solves = _record_solves(monkeypatch)
+    argv = ["decay", "--window", window, "--region", region, "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert len(solves) == 2
+    for cols, read in solves:
+        assert cols > 0
+        assert read == set(range(cols))
+
+
+def test_operator_path_runs_without_numpy_eigensolvers(tmp_path, monkeypatch):
+    # the operator path's dense linear algebra runs on scipy's LAPACK only;
+    # numpy's own is kept for the test oracles
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg called on the operator path")
+
+    for name in ("eigh", "eigvalsh", "svd"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    signal = str(_noise_signal(tmp_path / "noise.csv"))
+    runs = [
+        ["spectrum", "--region", "disc 0 0 1.5", "--rank", "2"],
+        ["decay", "--region", "disc 0 0 1.5"],
+        ["decay", "--window", "triangle", "--region", "disc 0 0 1"],
+        ["filter", "--region", "disc 0 0 1.5", "--rank", "8", "--input", signal],
+        ["asymptotics", "--region", "disc 0 0 1", "--scales", "1,1.5,2"],
+    ]
+    for i, argv in enumerate(runs):
+        assert main([*argv, "--out", str(tmp_path / str(i))]) == 0, argv
+
+
+@pytest.mark.parametrize("rank, splits", [(3, True), (7, False), (12, False)])
+def test_filter_reports_a_rank_inside_a_cluster(tmp_path, rank, splits):
+    # disc radius 3: the leading 7 eigenvalues lie within 6e-6 of 1, with
+    # gaps below 1e-6 (lambda_k = P(k + 1, 9 pi))
+    signal = _noise_signal(tmp_path / "noise.csv", n=121, dt=0.1)
+    argv = ["filter", "--region", "disc 0 0 3", "--rank", str(rank), "--input", str(signal)]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    assert _read_json(tmp_path / "filter_report.json")["rank_splits_cluster"] is splits
 
 
 @pytest.mark.parametrize(

@@ -196,3 +196,17 @@ def test_hermite_benchmark_rejects_other_widths(gauss_window, tri_disc_spectrum)
     for spectrum, case_region in cases:
         with pytest.raises(tc.UnsupportedCaseError):
             tc.hermite_benchmark(spectrum, case_region)
+
+
+def test_hermite_benchmark_past_computed_columns(hermite_disc):
+    spectrum, region = hermite_disc
+    short = tc.eigendecompose(spectrum.operator, vectors=5)  # 6 singleton clusters
+    with pytest.raises(tc.DomainError, match="5 computed"):
+        tc.hermite_benchmark(short, region)
+
+
+def test_fourier_side_past_computed_columns(gauss_window):
+    region = tc.Disc((0.0, 0.0), 1.5)
+    short = tc.eigendecompose(tc.assemble(gauss_window, region), vectors=2)
+    with pytest.raises(tc.DomainError, match="2 computed"):
+        tc.fourier_side_check(short, region)

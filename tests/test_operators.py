@@ -8,6 +8,7 @@ from scipy.special import gammainc
 
 import tfconc as tc
 from tfconc import operators
+from tfconc.decay import _clusters
 from tfconc.gabor import shifted_rows
 
 from conftest import random_signal
@@ -245,7 +246,7 @@ def test_daubechies_closed_form(gauss_disc_spectrum):
     assert np.max(np.abs(got - expect)) < 5e-3
 
 
-@pytest.mark.parametrize("vectors", [True, False])
+@pytest.mark.parametrize("vectors", [None, 0])
 def test_spectrum_checks_shared_by_both_routes(gauss_disc_op, vectors):
     skew = gauss_disc_op.matrix.copy()
     skew[0, 1] += 1.0
@@ -253,13 +254,13 @@ def test_spectrum_checks_shared_by_both_routes(gauss_disc_op, vectors):
     for matrix in (skew, too_big):
         op = tc.ConcentrationOperator(gauss_disc_op.window, gauss_disc_op.raster, matrix)
         with pytest.raises(tc.NumericalError):
-            operators._checked_eigh(op, vectors=vectors)
+            tc.eigendecompose(op, vectors=vectors)
 
 
 def test_eigenvalues_only_route_matches(gauss_disc_op, gauss_disc_spectrum):
-    vals, vecs = operators._checked_eigh(gauss_disc_op, vectors=False)
-    assert vecs is None
-    assert np.max(np.abs(vals - gauss_disc_spectrum.eigenvalues)) < 1e-12
+    spec = tc.eigendecompose(gauss_disc_op, vectors=0)
+    assert spec.eigenfunctions.shape == (gauss_disc_op.grid.n, 0)
+    assert np.max(np.abs(spec.eigenvalues - gauss_disc_spectrum.eigenvalues)) < 1e-12
 
 
 def test_counting_semantics():
@@ -429,3 +430,129 @@ def test_phase_space_matrix_cell_cap(gauss_window, monkeypatch):
         tc.phase_space_matrix(op)
     with pytest.raises(tc.CoverageError):
         tc.phase_space_eigenvalues(op)
+
+
+def _tiny_op(n, eigenvalues, rng):
+    """An operator of ``n <= 3`` samples with the given spectrum: too small a
+    grid for any window's support, so the matrix is set directly."""
+    grid = tc.SampleGrid(n, 0.5)
+    window = tc.Window(tc.Signal(grid, np.ones(n, dtype=complex)), "custom", None)
+    raster = tc.RasterizedRegion(tc.PhaseGrid(grid, [0.0], [0.0]), np.zeros((1, 1)))
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, _ = np.linalg.qr(z)
+    a = (q * eigenvalues) @ q.conj().T
+    return tc.ConcentrationOperator(window, raster, 0.5 * (a + a.conj().T) / grid.dt)
+
+
+@pytest.fixture(scope="module")
+def oracle_ops(gauss_grid, gauss_window, tri_disc_op):
+    rng = np.random.default_rng(7)
+    return {
+        "gaussian": tc.assemble(gauss_window, tc.Disc((0.0, 0.0), 3.0)),
+        "triangle": tri_disc_op,
+        "off-centre": tc.assemble(gauss_window, tc.Disc((0.7, -0.4), 2.5)),
+        "chirp": tc.assemble(_chirp(gauss_window), tc.Disc((0.4, -0.3), 2.5)),
+        "empty": _empty_op(gauss_grid, gauss_window),
+        "n=2": _tiny_op(2, [0.8, 0.3], rng),
+        "n=3": _tiny_op(3, [0.9, 0.9, 0.1], rng),
+    }
+
+
+@pytest.mark.parametrize(
+    "case", ["gaussian", "triangle", "off-centre", "chirp", "empty", "n=2", "n=3"]
+)
+def test_leading_vectors_match_full_eigh(oracle_ops, case):
+    # np.linalg.eigh on the same matrix is the oracle; k runs over none, one,
+    # a cut inside the leading cluster, the whole leading cluster, and all
+    op = oracle_ops[case]
+    n, dt = op.grid.n, op.grid.dt
+    a = dt * op.matrix
+    ref_vals, ref_vecs = np.linalg.eigh(a)
+    ref_vals, ref_vecs = ref_vals[::-1], ref_vecs[:, ::-1]
+    first = _clusters(ref_vals, 1, floor=-1.0)[0]
+    cuts = {0, 1, first.stop, n}
+    if len(first) > 1:
+        cuts.add(first.start + len(first) // 2)
+    assert len(cuts) >= 3
+    for k in sorted(cuts):
+        spec = tc.eigendecompose(op, vectors=k)
+        assert np.max(np.abs(spec.eigenvalues - ref_vals)) < 1e-12
+        v = np.sqrt(dt) * spec.eigenfunctions
+        assert v.shape == (n, k)
+        resid = a @ v - v * spec.eigenvalues[:k]
+        assert np.max(np.linalg.norm(resid, axis=0), initial=0.0) < 1e-12
+        assert np.max(np.abs(v.conj().T @ v - np.eye(k)), initial=0.0) < 1e-12
+        at_boundary = k == n or ref_vals[k - 1] - ref_vals[k] >= 1e-6
+        if k and at_boundary:
+            cosines = np.linalg.svd(ref_vecs[:, :k].conj().T @ v, compute_uv=False)
+            assert cosines.min() >= 1.0 - 1e-10, (case, k)
+
+
+def _phase_fixed(vecs):
+    """Each column times the unit factor making its first entry within a
+    relative 1e-6 of the largest modulus real and positive."""
+    out = vecs.copy()
+    for j in range(vecs.shape[1]):
+        mod = np.abs(vecs[:, j])
+        lead = np.nonzero(mod >= (1.0 - 1e-6) * mod.max())[0][0]
+        out[:, j] *= abs(vecs[lead, j]) / vecs[lead, j]
+    return out
+
+
+def test_canonical_phase_matches_eigh(tri_disc_op):
+    # the triangle disc has simple leading eigenvalues, so each leading vector
+    # is fixed up to its phase, and its mirrored peaks tie in modulus
+    dt = tri_disc_op.grid.dt
+    spec = tc.eigendecompose(tri_disc_op, vectors=8)
+    assert np.min(-np.diff(spec.eigenvalues[:9])) > 1e-3
+    ours = np.sqrt(dt) * spec.eigenfunctions
+    _, ref = np.linalg.eigh(dt * tri_disc_op.matrix)
+    assert np.max(np.abs(ours - _phase_fixed(ref[:, ::-1][:, :8]))) < 1e-10
+
+
+def test_canonical_phase_leading_entry_real_positive(gauss_disc_spectrum):
+    vecs = gauss_disc_spectrum.eigenfunctions
+    mod = np.abs(vecs)
+    lead = np.argmax(mod >= (1.0 - 1e-6) * mod.max(axis=0), axis=0)
+    peaks = vecs[lead, np.arange(vecs.shape[1])]
+    assert np.all(peaks.real > 0)
+    assert np.max(np.abs(peaks.imag) / peaks.real) < 1e-14
+
+
+def test_vectors_may_be_a_function_of_the_eigenvalues(gauss_disc_op):
+    seen = []
+
+    def above_half(eigenvalues):
+        seen.append(eigenvalues)
+        return int(np.sum(eigenvalues > 0.5))
+
+    spec = tc.eigendecompose(gauss_disc_op, vectors=above_half)
+    assert np.array_equal(seen[0], spec.eigenvalues)
+    assert spec.eigenfunctions.shape[1] == tc.count(spec.eigenvalues, 0.5)
+
+
+def test_vectors_out_of_range(gauss_disc_op):
+    for bad in (-1, gauss_disc_op.grid.n + 1):
+        with pytest.raises(tc.DomainError):
+            tc.eigendecompose(gauss_disc_op, vectors=bad)
+
+
+def test_eigenfunction_past_computed_columns(gauss_disc_op):
+    spec = tc.eigendecompose(gauss_disc_op, vectors=2)
+    assert spec.eigenfunction(1).samples.shape == (gauss_disc_op.grid.n,)
+    with pytest.raises(tc.DomainError, match="2 computed"):
+        spec.eigenfunction(2)
+
+
+def test_eigenfilter_past_computed_columns(gauss_grid, gauss_disc_op, rng):
+    spec = tc.eigendecompose(gauss_disc_op, vectors=2)
+    f = random_signal(gauss_grid, rng)
+    tc.eigenfilter(f, spec, 2)
+    with pytest.raises(tc.DomainError, match="2 computed"):
+        tc.eigenfilter(f, spec, 3)
+
+
+def test_eigenfilter_rejects_another_grid(gauss_disc_spectrum, rng):
+    f = random_signal(tc.SampleGrid(101, 0.1), rng)
+    with pytest.raises(tc.GridMismatchError):
+        tc.eigenfilter(f, gauss_disc_spectrum, 1)
