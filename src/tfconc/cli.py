@@ -6,12 +6,14 @@ diagonalize), ``asymptotics`` (scaling sweep plus fits), ``decay``
 signal), ``autocorr`` (density autocorrelation integrals).  Exit code 2 means
 the configuration was rejected, 3 means a numerical invariant broke mid-run.
 
-Configuration comes from flags, optionally backed by a ``key=value`` file
-(flags win).  Every artifact embeds the tool version and a hash of the
-effective configuration.  Identical configurations produce byte-identical
-files on the same machine with the same BLAS thread count; a different
-thread count can change the last digits of eigenvalues and the basis chosen
-inside near-degenerate eigenvalue clusters.
+Each subcommand takes only the options it reads, from flags optionally
+backed by a ``key=value`` file whose keys are the flag spellings (flags win).
+Every artifact embeds the tool version and a hash of the command and its
+option values; ``--out`` says only where the files go and is not hashed.
+Identical configurations produce byte-identical files on the same machine
+with the same BLAS thread count; a different thread count can change the last
+digits of eigenvalues and the basis chosen inside near-degenerate eigenvalue
+clusters.
 """
 
 from __future__ import annotations
@@ -26,56 +28,30 @@ import numpy as np
 from . import io
 from ._version import __version__
 from .decay import (
-    PowerLaw,
-    StretchedExp,
-    decay_check,
+    ENVELOPE_EPSILON,
     decay_columns,
-    envelope_rows,
+    envelope_checks,
     fourier_side_check,
     hermite_benchmark,
     kernel_vanishing_check,
     splits_cluster,
 )
 from .errors import ConfigError, NumericalError, TfcError, UnsupportedCaseError
-from .grids import SampleGrid, fourier_transform, grids_compatible
+from .grids import SampleGrid, grids_compatible
 from .operators import assemble, eigendecompose, eigenfilter, energy
 from .regions import Region, parse_region, region_label
 from .scaling import (
-    SELF_DUAL_SIGMA,
-    GaussianDensity,
     auto_grid,
     autocorr_integral,
     decay_condition_margins,
     hs_error_rate,
     plunge_fit,
     scaling_experiment,
+    standard_density,
 )
 from .windows import Window, make_window
 
 __all__ = ["main"]
-
-#: merged option table: (name, converter, default); defaults of None are
-#: filled per command
-_OPTIONS = {
-    "window": (str, "gaussian:pi"),
-    "region": (str, "disc 0 0 1.5"),
-    "grid": (str, "auto"),
-    "out": (str, "."),
-    "scales": (str, None),
-    "lam": (float, None),
-    "mu": (float, None),
-    "epsilon": (float, 0.1),
-    "rank": (int, None),
-    "input": (str, None),
-    "oracle": (lambda s: str(s).strip().lower() in ("1", "true", "yes"), False),
-    "sigma": (float, SELF_DUAL_SIGMA),
-    "p": (float, None),
-    "bound_c": (float, None),
-}
-
-#: config-file keys to option names: the flag spelling, except where the
-#: option name differs from it
-_FILE_KEYS = {{"lam": "lambda", "bound_c": "c"}.get(name, name): name for name in _OPTIONS}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -85,57 +61,27 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"tfc {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    specs = {
-        "spectrum": "assemble the operator and write its spectrum",
-        "asymptotics": "scaling sweep with counting/plunge/deficit fits",
-        "decay": "eigenfunction regularity checks",
-        "filter": "project an input signal onto leading eigenfunctions",
-        "autocorr": "density autocorrelation integral and decay condition",
-    }
-    for name, help_text in specs.items():
+    for name, (_, help_text, options) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--window", help="gaussian:<c|pi> | triangle | custom:<csv>")
-        sp.add_argument("--region", help="disc cx cy r | rect t0 t1 s0 s1 | poly ... | mask <csv>")
-        sp.add_argument("--grid", help="auto | N,dt")
-        sp.add_argument("--out", help="output directory")
-        sp.add_argument("--config", help="key=value file; explicit flags win")
-        sp.add_argument("--scales", help="comma-separated dilation factors")
-        sp.add_argument(
-            "--lambda",
-            dest="lam",
-            type=float,
-            help="lower end of the plunge band (asymptotics, default 0.1); "
-            "n_lambda always counts eigenvalues >= 0.5",
-        )
-        sp.add_argument(
-            "--mu",
-            type=float,
-            help="upper end of the plunge band (asymptotics, default 0.9)",
-        )
-        sp.add_argument("--epsilon", type=float, help="decay slack exponent")
-        sp.add_argument("--rank", type=int, help="eigenfunction count")
-        sp.add_argument("--input", help="input signal CSV")
-        sp.add_argument(
-            "--oracle",
-            action="store_const",
-            const=True,
-            help="use the slow direct-quadrature assembly",
-        )
-        sp.add_argument(
-            "--sigma",
-            type=float,
-            help="Gaussian density width (default: self-dual exp(-pi r^2))",
-        )
-        sp.add_argument("--p", type=float, help="decay-condition exponent (autocorr)")
-        sp.add_argument(
-            "--C", dest="bound_c", type=float, help="decay-condition constant (autocorr)"
-        )
-        sp.set_defaults(func=_COMMANDS[name])
+        for flag, convert, default, flag_help in options:
+            if default is not None:
+                flag_help = f"{flag_help} (default: {default})"
+            sp.add_argument(
+                f"--{flag}",
+                dest=flag.lower(),
+                type=convert,
+                default=argparse.SUPPRESS,
+                help=flag_help,
+            )
+        sp.add_argument("--out", default=".", help="output directory (default: .)")
+        sp.add_argument("--config", help="key=value file of the options above; flags win")
     return parser
 
 
-def _load_config_file(path: str) -> dict:
+def _load_config_file(path: str, command: str) -> dict:
+    """The option values a ``key=value`` file sets for ``command``; the keys
+    are the command's flag spellings, case-insensitive."""
+    convert = {flag.lower(): conv for flag, conv, _, _ in _COMMANDS[command][2]}
     values = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -149,41 +95,31 @@ def _load_config_file(path: str) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip().lower()
-        if key not in _FILE_KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[_FILE_KEYS[key]] = value.strip()
+        if key not in convert:
+            raise ConfigError(f"{path}:{lineno}: tfc {command} has no config key {key!r}")
+        try:
+            values[key] = convert[key](value.strip())
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: config key {key}: {exc}") from exc
     return values
 
 
-def _merge_config(args: argparse.Namespace) -> None:
-    file_values = _load_config_file(args.config) if args.config else {}
-    defaulted = set()
-    for name, (convert, default) in _OPTIONS.items():
-        if getattr(args, name, None) is None:
-            if name in file_values:
-                try:
-                    setattr(args, name, convert(file_values[name]))
-                except ValueError as exc:
-                    raise ConfigError(f"config key {name}: {exc}") from exc
-            else:
-                setattr(args, name, default)
-                defaulted.add(name)
-    args.defaulted = defaulted
+def _options(args: argparse.Namespace) -> dict:
+    """The command's option values: flags, else the config file, else the
+    command's defaults."""
+    values = {flag.lower(): default for flag, _, default, _ in _COMMANDS[args.command][2]}
+    if args.config:
+        values.update(_load_config_file(args.config, args.command))
+    given = vars(args)
+    values.update((key, given[key]) for key in values if key in given)
+    return values
 
 
-def _effective_config(args: argparse.Namespace) -> dict:
-    cfg = {"command": args.command}
-    for name in _OPTIONS:
-        cfg[name] = getattr(args, name)
-    return cfg
-
-
-def _parse_scales(text: str | None, default: str) -> list[float]:
-    raw = text if text is not None else default
+def _parse_scales(text: str) -> list[float]:
     try:
-        scales = [float(tok) for tok in raw.replace(",", " ").split()]
+        scales = [float(tok) for tok in text.replace(",", " ").split()]
     except ValueError as exc:
-        raise ConfigError(f"bad scales {raw!r}: {exc}") from exc
+        raise ConfigError(f"bad scales {text!r}: {exc}") from exc
     if not scales:
         raise ConfigError("scales must not be empty")
     return scales
@@ -224,14 +160,14 @@ def _parse_grid_spec(text: str) -> SampleGrid | None:
         raise ConfigError(f"bad grid spec {text!r} (want 'auto' or 'N,dt'): {exc}") from exc
 
 
-def _window(args, grid: SampleGrid | None, region: Region | None = None) -> Window:
+def _window(opt: dict, grid: SampleGrid | None, region: Region | None = None) -> Window:
     """The ``--window`` spec, built once on ``grid``.
 
     Without a grid a stock family lands on a grid auto-sized for ``region``
     and a custom window on the grid of its CSV; with one, the CSV's grid must
     be compatible with it.
     """
-    family, c, path = _parse_window_spec(args.window)
+    family, c, path = _parse_window_spec(opt["window"])
     if family != "custom":
         return make_window(family, grid or auto_grid(family, region, c=c), c=c)
     sig = io.read_signal_csv(path)
@@ -245,22 +181,21 @@ def _window(args, grid: SampleGrid | None, region: Region | None = None) -> Wind
     return make_window("custom", grid, samples=sig.samples)
 
 
-def _window_for(args, region: Region) -> Window:
+def _window_for(opt: dict, region: Region) -> Window:
     """The window on ``--grid``, else on a grid auto-sized for ``region``."""
-    return _window(args, _parse_grid_spec(args.grid), region)
+    return _window(opt, _parse_grid_spec(opt["grid"]), region)
 
 
-def cmd_spectrum(args) -> int:
-    region = parse_region(args.region)
-    window = _window_for(args, region)
-    op = assemble(window, region, oracle=bool(args.oracle))
-    rank = max(0, min(args.rank or 0, window.grid.n))
+def cmd_spectrum(opt: dict, out: Path, tag: str) -> int:
+    region = parse_region(opt["region"])
+    window = _window_for(opt, region)
+    op = assemble(window, region)
+    rank = max(0, min(opt["rank"], window.grid.n))
     spectrum = eigendecompose(op, vectors=rank)
 
-    out = Path(args.out)
-    io.write_spectrum_csv(out / "spectrum.csv", spectrum.eigenvalues, args.tag)
+    io.write_spectrum_csv(out / "spectrum.csv", spectrum.eigenvalues, tag)
     for k in range(rank):
-        io.write_signal_csv(out / f"eigfun_{k}.csv", spectrum.eigenfunction(k), args.tag)
+        io.write_signal_csv(out / f"eigfun_{k}.csv", spectrum.eigenfunction(k), tag)
     io.write_json(
         out / "summary.json",
         {
@@ -274,7 +209,7 @@ def cmd_spectrum(args) -> int:
             "raster_area": op.raster.area,
             "area": region.area(),
         },
-        args.tag,
+        tag,
     )
     print(
         f"spectrum: n={window.grid.n} cells={op.raster.cell_count} "
@@ -283,21 +218,18 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
-def cmd_asymptotics(args) -> int:
-    region = parse_region(args.region)
-    family, c, _ = _parse_window_spec(args.window)
+def cmd_asymptotics(opt: dict, out: Path, tag: str) -> int:
+    region = parse_region(opt["region"])
+    family, c, _ = _parse_window_spec(opt["window"])
     if family == "custom":
         raise ConfigError("scaling sweeps need a stock window family")
-    scales = _parse_scales(args.scales, "1,1.5,2,3,4")
-    lam = args.lam if args.lam is not None else 0.1
-    mu = args.mu if args.mu is not None else 0.9
-    explicit = _parse_grid_spec(args.grid)
+    explicit = _parse_grid_spec(opt["grid"])
     report = scaling_experiment(
         family,
         region,
-        scales,
+        _parse_scales(opt["scales"]),
         c=c,
-        plunge_band=(lam, mu),
+        plunge_band=(opt["lambda"], opt["mu"]),
         dt=explicit.dt if explicit is not None else None,
     )
     fits = {
@@ -305,9 +237,8 @@ def cmd_asymptotics(args) -> int:
         "hs_deficit": hs_error_rate(report),
     }
 
-    out = Path(args.out)
-    io.write_scaling_csv(out / "scaling.csv", report, args.tag)
-    io.write_json(out / "fits.json", fits, args.tag)
+    io.write_scaling_csv(out / "scaling.csv", report, tag)
+    io.write_json(out / "fits.json", fits, tag)
     print(
         f"asymptotics: {len(report.rows)} scales, plunge slope "
         f"{fits['plunge']['slope']:.3f} (r2 {fits['plunge']['r2']:.3f})"
@@ -315,48 +246,24 @@ def cmd_asymptotics(args) -> int:
     return 0
 
 
-def _decay_rows(window: Window, spectrum, region: Region, epsilon: float):
-    """Per-eigenfunction envelope checks on the side where decay is nontrivial."""
-    t_lo, t_hi, s_lo, s_hi = region.bounding_box()
-    rows = []
-    keep = range(envelope_rows(spectrum.eigenvalues))
-    if window.family == "gaussian":
-        gamma = StretchedExp(window.parameter, 2.0)
-        t_min = max(abs(t_lo), abs(t_hi)) + window.essential_radius + 1.0
-        for k in keep:
-            res = decay_check(spectrum.eigenfunction(k), gamma, epsilon, t_min)
-            rows.append((k, float(spectrum.clamped[k]), res["C_fit"], res["ok"]))
-    elif window.family == "triangle":
-        # time side is compactly supported; the frequency side carries the
-        # actual decay content (Fejer-type squared-sinc tail)
-        gamma = PowerLaw(1.9)
-        t_min = max(abs(s_lo), abs(s_hi)) + 2.0
-        for k in keep:
-            hat = fourier_transform(spectrum.eigenfunction(k))
-            res = decay_check(hat, gamma, epsilon, t_min)
-            rows.append((k, float(spectrum.clamped[k]), res["C_fit"], res["ok"]))
-    return rows
-
-
-def cmd_decay(args) -> int:
-    region = parse_region(args.region)
-    window = _window_for(args, region)
-    op = assemble(window, region, oracle=bool(args.oracle))
+def cmd_decay(opt: dict, out: Path, tag: str) -> int:
+    region = parse_region(opt["region"])
+    window = _window_for(opt, region)
+    op = assemble(window, region)
     spectrum = eigendecompose(op, vectors=decay_columns(window, region))
 
     vanish = kernel_vanishing_check(window, op)
     vanish_status = "skipped" if vanish is None else ("pass" if vanish else "fail")
-    rows = _decay_rows(window, spectrum, region, args.epsilon)
+    rows = envelope_checks(spectrum, region)
     fourier = fourier_side_check(spectrum, region)
 
-    out = Path(args.out)
-    io.write_decay_csv(out / "decay.csv", rows, args.tag)
+    io.write_decay_csv(out / "decay.csv", rows, tag)
     report = {
         "window": window.label,
         "region": region_label(region),
         "kernel_vanishing": vanish_status,
         "fourier_side": fourier,
-        "epsilon": args.epsilon,
+        "epsilon": ENVELOPE_EPSILON,
         "rows": len(rows),
     }
 
@@ -373,13 +280,13 @@ def cmd_decay(args) -> int:
             lam_mean = float(np.mean(bench["eigenvalues"][start : start + size]))
             herm_rows.append((idx, float(overlap), lam_mean))
             start += size
-        io.write_hermite_csv(out / "hermite.csv", herm_rows, args.tag)
+        io.write_hermite_csv(out / "hermite.csv", herm_rows, tag)
         report["hermite"] = {
             "min_overlap": float(np.min(bench["overlaps"])),
             "decay_slope": bench["decay_slope"],
             "r2": bench["r2"],
         }
-    io.write_json(out / "decay_report.json", report, args.tag)
+    io.write_json(out / "decay_report.json", report, tag)
     print(
         f"decay: kernel vanishing {vanish_status}, "
         f"fourier gap {fourier['max_eigenvalue_gap']:.2e}, {len(rows)} envelope rows"
@@ -387,85 +294,122 @@ def cmd_decay(args) -> int:
     return 0
 
 
-def cmd_filter(args) -> int:
-    if not args.input:
+def cmd_filter(opt: dict, out: Path, tag: str) -> int:
+    rank = opt["rank"]
+    if not opt["input"]:
         raise ConfigError("filter needs --input <signal csv>")
-    if args.rank is None or args.rank < 1:
-        raise ConfigError(f"filter needs --rank >= 1, got {args.rank}")
-    signal = io.read_signal_csv(args.input)
-    window = _window(args, signal.grid)
-    region = parse_region(args.region)
-    op = assemble(window, region, oracle=bool(args.oracle))
-    spectrum = eigendecompose(op, vectors=min(args.rank, window.grid.n))
-    filtered = eigenfilter(signal, spectrum, args.rank)
+    if rank is None or rank < 1:
+        raise ConfigError(f"filter needs --rank >= 1, got {rank}")
+    signal = io.read_signal_csv(opt["input"])
+    window = _window(opt, signal.grid)
+    region = parse_region(opt["region"])
+    op = assemble(window, region)
+    spectrum = eigendecompose(op, vectors=min(rank, window.grid.n))
+    filtered = eigenfilter(signal, spectrum, rank)
 
-    out = Path(args.out)
-    io.write_signal_csv(out / "filtered.csv", filtered, args.tag)
+    io.write_signal_csv(out / "filtered.csv", filtered, tag)
     io.write_json(
         out / "filter_report.json",
         {
-            "rank": args.rank,
-            "rank_splits_cluster": splits_cluster(spectrum.eigenvalues, args.rank),
+            "rank": rank,
+            "rank_splits_cluster": splits_cluster(spectrum.eigenvalues, rank),
             "input_energy": signal.norm**2,
             "output_energy": filtered.norm**2,
             "region_energy_input": energy(signal, window, op.raster),
             "region_energy_filtered": energy(filtered, window, op.raster),
         },
-        args.tag,
+        tag,
     )
-    print(
-        f"filter: rank={args.rank} energy {signal.norm**2:.6f} -> {filtered.norm**2:.6f}"
-    )
+    print(f"filter: rank={rank} energy {signal.norm**2:.6f} -> {filtered.norm**2:.6f}")
     return 0
 
 
-def cmd_autocorr(args) -> int:
-    region_text = args.region
-    if "region" in args.defaulted:
-        region_text = "rect -0.5 0.5 -0.5 0.5"  # unit square, the canonical Q
-    q = parse_region(region_text)
-    scales = _parse_scales(args.scales, "2,4,8,16")
-    density = GaussianDensity(args.sigma)
+def cmd_autocorr(opt: dict, out: Path, tag: str) -> int:
+    q = parse_region(opt["region"])
+    scales = _parse_scales(opt["scales"])
+    density = standard_density()
     rows = [(r, autocorr_integral(density, q, r)) for r in scales]
 
-    out = Path(args.out)
-    io.write_autocorr_csv(out / "autocorr.csv", rows, args.tag)
+    io.write_autocorr_csv(out / "autocorr.csv", rows, tag)
     report = {
         "region": region_label(q),
         "area": q.area(),
-        "sigma": args.sigma,
+        "sigma": density.sigma,
         "values": [{"r": r, "value": v} for r, v in rows],
     }
-    if args.p is not None and args.bound_c is not None:
-        margins = decay_condition_margins(density, args.p, args.bound_c, scales)
+    if opt["p"] is not None and opt["c"] is not None:
+        margins = decay_condition_margins(density, opt["p"], opt["c"], scales)
         report["decay_condition"] = {
-            "p": args.p,
-            "C": args.bound_c,
+            "p": opt["p"],
+            "C": opt["c"],
             "ok": all(m["ok"] for m in margins),
             "margins": margins,
         }
-    io.write_json(out / "autocorr_report.json", report, args.tag)
+    io.write_json(out / "autocorr_report.json", report, tag)
     print(f"autocorr: {len(rows)} scales, last value {rows[-1][1]:.6f} (area {q.area():.6f})")
     return 0
 
 
+_WINDOW = ("window", str, "gaussian:pi", "gaussian:<c|pi> | triangle | custom:<csv>")
+_REGION_HELP = "disc cx cy r | rect t0 t1 s0 s1 | poly ... | mask <csv>"
+_REGION = ("region", str, "disc 0 0 1.5", _REGION_HELP)
+_GRID = ("grid", str, "auto", "auto | N,dt")
+
+#: per command: (function, help, options).  Each option is (flag, converter,
+#: default, help); its flag spelling, lowercased, is its config-file key and
+#: its name in the hashed configuration.  A default of None means unset.
 _COMMANDS = {
-    "spectrum": cmd_spectrum,
-    "asymptotics": cmd_asymptotics,
-    "decay": cmd_decay,
-    "filter": cmd_filter,
-    "autocorr": cmd_autocorr,
+    "spectrum": (
+        cmd_spectrum,
+        "assemble the operator and write its spectrum",
+        [_WINDOW, _REGION, _GRID, ("rank", int, 0, "eigenfunctions to write")],
+    ),
+    "asymptotics": (
+        cmd_asymptotics,
+        "scaling sweep with counting/plunge/deficit fits",
+        [
+            _WINDOW,
+            _REGION,
+            ("grid", str, "auto", "auto | N,dt; only dt is read, each scale sizes its own n"),
+            ("scales", str, "1,1.5,2,3,4", "comma-separated dilation factors"),
+            ("lambda", float, 0.1, "lower end of the plunge band; "
+             "n_lambda always counts eigenvalues >= 0.5"),
+            ("mu", float, 0.9, "upper end of the plunge band"),
+        ],
+    ),
+    "decay": (cmd_decay, "eigenfunction regularity checks", [_WINDOW, _REGION, _GRID]),
+    "filter": (
+        cmd_filter,
+        "project an input signal onto leading eigenfunctions",
+        [
+            ("input", str, None, "input signal CSV; its grid is the grid used"),
+            ("rank", int, None, "eigenfunction count, at least 1"),
+            _WINDOW,
+            _REGION,
+        ],
+    ),
+    "autocorr": (
+        cmd_autocorr,
+        "density autocorrelation integral and decay condition",
+        [
+            ("region", str, "rect -0.5 0.5 -0.5 0.5", _REGION_HELP),
+            ("scales", str, "2,4,8,16", "comma-separated dilation factors"),
+            ("p", float, None, "decay-condition exponent"),
+            ("C", float, None, "decay-condition constant"),
+        ],
+    ),
 }
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    run = _COMMANDS[args.command][0]
     try:
-        _merge_config(args)
-        args.tag = io.config_hash(_effective_config(args))
-        Path(args.out).mkdir(parents=True, exist_ok=True)
-        return args.func(args)
+        opt = _options(args)
+        tag = io.config_hash({"command": args.command, **opt})
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        return run(opt, out, tag)
     except NumericalError as exc:
         print(f"tfc: numerical error: {exc}", file=sys.stderr)
         return 3

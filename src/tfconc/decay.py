@@ -54,6 +54,8 @@ _ENVELOPE_ROWS = 16
 _ENVELOPE_FLOOR = 1e-4
 #: neighbouring eigenvalues closer than this belong to one cluster
 _CLUSTER_GAP = 1e-6
+#: slack exponent of ``tfc decay``'s envelope checks
+ENVELOPE_EPSILON = 0.1
 
 
 class DecayEnvelope(ABC):
@@ -191,7 +193,7 @@ def envelope_admissible(gamma: DecayEnvelope) -> dict:
 def decay_check(
     psi: Signal,
     gamma: DecayEnvelope,
-    epsilon: float = 0.1,
+    epsilon: float = ENVELOPE_EPSILON,
     t_min: float = 1.0,
 ) -> dict:
     """Check ``|psi(t)| <= C gamma(|t|)^(1-epsilon)`` beyond ``t_min``.
@@ -301,20 +303,54 @@ def _end(clusters: list[range]) -> int:
     return max((cl.stop for cl in clusters), default=0)
 
 
-def envelope_rows(eigenvalues: np.ndarray) -> int:
+def _envelope_rows(eigenvalues: np.ndarray) -> int:
     """How many leading eigenfunctions get an envelope check in ``tfc decay``."""
     return min(_ENVELOPE_ROWS, int(np.count_nonzero(eigenvalues > _ENVELOPE_FLOOR)))
+
+
+def _envelope_rule(window: Window, region: Region):
+    """``(side, envelope, t_min)`` of ``tfc decay``'s envelope checks for the
+    window's family: the side of each eigenfunction where its decay is
+    nontrivial, the envelope it must stay under and where the check starts;
+    None for a custom window, which gets no envelope check."""
+    t_lo, t_hi, s_lo, s_hi = region.bounding_box()
+    if window.family == "gaussian":
+        t_min = max(abs(t_lo), abs(t_hi)) + window.essential_radius + 1.0
+        return (lambda psi: psi), StretchedExp(window.parameter, 2.0), t_min
+    if window.family == "triangle":
+        # time side is compactly supported; the frequency side carries the
+        # actual decay content (Fejer-type squared-sinc tail)
+        return fourier_transform, PowerLaw(1.9), max(abs(s_lo), abs(s_hi)) + 2.0
+    return None
+
+
+def envelope_checks(spectrum: Spectrum, region: Region) -> list[tuple]:
+    """``tfc decay``'s rows ``(k, lambda_k, C_fit, ok)``: a
+    :func:`decay_check` of each leading eigenfunction on the side, under the
+    envelope and beyond the ``t_min`` its window family calls for."""
+    rule = _envelope_rule(spectrum.operator.window, region)
+    if rule is None:
+        return []
+    side, gamma, t_min = rule
+    rows = []
+    for k in range(_envelope_rows(spectrum.eigenvalues)):
+        res = decay_check(side(spectrum.eigenfunction(k)), gamma, t_min=t_min)
+        rows.append((k, float(spectrum.clamped[k]), res["C_fit"], res["ok"]))
+    return rows
 
 
 def decay_columns(window: Window, region: Region):
     """The leading eigenfunction count ``tfc decay`` reads, as a function of
     the descending eigenvalues (the ``vectors`` of :func:`eigendecompose`):
-    the envelope rows, the Fourier-side clusters and, where the Hermite
-    benchmark applies to ``window`` and ``region``, its clusters."""
+    the rows of :func:`envelope_checks`, the Fourier-side clusters and, where
+    the Hermite benchmark applies to ``window`` and ``region``, its clusters."""
+    envelope = _envelope_rule(window, region) is not None
     hermite = _hermite_unsupported(window, region) is None
 
     def columns(eigenvalues: np.ndarray) -> int:
-        need = max(envelope_rows(eigenvalues), _end(_fourier_clusters(eigenvalues)))
+        need = _end(_fourier_clusters(eigenvalues))
+        if envelope:
+            need = max(need, _envelope_rows(eigenvalues))
         return max(need, _end(_hermite_clusters(eigenvalues))) if hermite else need
 
     return columns

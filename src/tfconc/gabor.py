@@ -12,7 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import _REL_TOL, SampleGrid, Signal, _require_same_grid, _shifted
+from .grids import (
+    _REL_TOL,
+    SampleGrid,
+    Signal,
+    _forward_sum,
+    _modulated_sum,
+    _require_same_grid,
+    _shifted,
+)
 from .windows import Window
 
 __all__ = ["PhaseGrid", "GaborCoefficients", "analyze", "synthesize", "shifted_rows"]
@@ -189,17 +197,10 @@ def analyze(f: Signal, window: Window, phase_grid: PhaseGrid) -> GaborCoefficien
     grid = f.grid
     _require_same_grid(grid, window.grid, "analyze")
     _require_same_grid(grid, phase_grid.grid, "analyze")
-    taus = phase_grid.tau_values
     sigmas = phase_grid.sigma_values
-    n_sigma = len(sigmas)
-    s0 = sigmas[0]
-
     rows = shifted_rows(window.samples, phase_grid.shift_indices)
-    pre = rows.conj() * f.samples[None, :]
-    pre *= np.exp(-2j * np.pi * grid.dt * s0 * np.arange(grid.n))[None, :]
-    spec = np.fft.fft(pre, axis=1)[:, :n_sigma]
-    spec *= grid.dt * np.exp(-2j * np.pi * grid.t_start * sigmas)[None, :]
-    spec *= np.exp(-1j * np.pi * np.outer(taus, sigmas))
+    spec = _forward_sum(rows.conj() * f.samples, grid, sigmas[0], len(sigmas))
+    spec *= np.exp(-1j * np.pi * np.outer(phase_grid.tau_values, sigmas))
     return GaborCoefficients(phase_grid, spec)
 
 
@@ -212,18 +213,8 @@ def synthesize(coeffs: GaborCoefficients, window: Window) -> Signal:
     pg = coeffs.phase_grid
     grid = pg.grid
     _require_same_grid(grid, window.grid, "synthesize")
-    taus = pg.tau_values
     sigmas = pg.sigma_values
-    q = len(sigmas)
-    s0 = sigmas[0]
-
-    work = coeffs.values * np.exp(1j * np.pi * np.outer(taus, sigmas))
-    work = work * np.exp(2j * np.pi * grid.t_start * pg.dsigma * np.arange(q))[None, :]
-    padded = np.zeros((len(taus), grid.n), dtype=np.complex128)
-    padded[:, :q] = work
-    u = grid.n * np.fft.ifft(padded, axis=1)
-    u *= pg.dsigma * np.exp(2j * np.pi * s0 * grid.times)[None, :]
-
+    work = coeffs.values * np.exp(1j * np.pi * np.outer(pg.tau_values, sigmas))
+    u = _modulated_sum(work, grid, sigmas[0])
     rows = shifted_rows(window.samples, pg.shift_indices)
-    out = pg.dtau * np.sum(u * rows, axis=0)
-    return Signal(grid, out)
+    return Signal(grid, pg.dtau * np.sum(u * rows, axis=0))

@@ -142,15 +142,16 @@ def inner_product(f: Signal, g: Signal) -> complex:
 def _forward_sum(
     values: np.ndarray, grid: SampleGrid, sigma_start: float, n_out: int
 ) -> np.ndarray:
-    """``dt * sum_m values[m] * exp(-2 pi i t_m sigma_k)`` for
-    ``sigma_k = sigma_start + k * dsigma``, ``k = 0 .. n_out - 1``.
+    """``dt * sum_m values[..., m] * exp(-2 pi i t_m sigma_k)`` for
+    ``sigma_k = sigma_start + k * dsigma``, ``k = 0 .. n_out - 1``, along the
+    last axis.
     """
     n, dt, t0 = grid.n, grid.dt, grid.t_start
     if not 1 <= n_out <= n:
         raise ValueError(f"n_out must be in [1, {n}], got {n_out}")
     ds = grid.dsigma
     pre = values * np.exp(-2j * np.pi * dt * sigma_start * np.arange(n))
-    spec = np.fft.fft(pre)[:n_out]
+    spec = np.fft.fft(pre)[..., :n_out]
     sigmas = sigma_start + ds * np.arange(n_out)
     return dt * np.exp(-2j * np.pi * t0 * sigmas) * spec
 
@@ -158,16 +159,17 @@ def _forward_sum(
 def _modulated_sum(
     coeffs: np.ndarray, grid: SampleGrid, sigma_start: float
 ) -> np.ndarray:
-    """``dsigma * sum_j coeffs[j] * exp(+2 pi i t_m sigma_j)`` on all of ``grid``,
-    with ``sigma_j = sigma_start + j * dsigma`` and ``len(coeffs) <= n``.
+    """``dsigma * sum_j coeffs[..., j] * exp(+2 pi i t_m sigma_j)`` on all of
+    ``grid``, with ``sigma_j = sigma_start + j * dsigma`` along the last axis,
+    which holds at most ``n`` entries.
     """
     n, t0 = grid.n, grid.t_start
-    q = len(coeffs)
+    q = coeffs.shape[-1]
     if q > n:
         raise ValueError(f"at most {n} frequency rows fit one FFT period, got {q}")
     ds = grid.dsigma
-    padded = np.zeros(n, dtype=np.complex128)
-    padded[:q] = coeffs * np.exp(2j * np.pi * t0 * ds * np.arange(q))
+    padded = np.zeros((*coeffs.shape[:-1], n), dtype=np.complex128)
+    padded[..., :q] = coeffs * np.exp(2j * np.pi * t0 * ds * np.arange(q))
     out = n * np.fft.ifft(padded)
     return ds * np.exp(2j * np.pi * grid.times * sigma_start) * out
 

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gabor import GaborCoefficients, PhaseGrid, analyze, synthesize
-from .grids import Signal, _forward_sum, _shifted, inner_product, tf_shift
+from .gabor import GaborCoefficients, analyze, shifted_rows, synthesize
+from .grids import _forward_sum, inner_product, tf_shift
 from .windows import Window
 
 __all__ = ["ambiguity", "ambiguity_table", "kernel", "project"]
@@ -27,7 +27,8 @@ def ambiguity(window: Window, point: tuple[float, float]) -> complex:
 def ambiguity_table(
     window: Window, tau_values: np.ndarray, sigma_values: np.ndarray
 ) -> np.ndarray:
-    """``H`` on a product lattice, one FFT batch per shift row.
+    """``H`` on a product lattice: the shifted rows are built once, then one
+    batched FFT per chunk of ``sigma_values``.
 
     ``tau_values`` must be grid-aligned; ``sigma_values`` must be uniform with
     step ``dsigma`` but may span more than one FFT period (the table is
@@ -42,15 +43,15 @@ def ambiguity_table(
         if not np.allclose(steps, grid.dsigma, rtol=1e-9):
             raise ValueError("sigma values must step by 1/(n dt)")
     phi = window.samples
+    rows = shifted_rows(phi, np.array([grid.shift_index(tau) for tau in taus], dtype=int))
+    # H(tau, s) = e^{pi i tau s} * conj( dt sum conj(v) e^{-2 pi i s t} ),
+    # v = phi(. + tau) conj(phi)
+    v_conj = (rows * phi.conj()).conj()
     out = np.empty((len(taus), len(sigmas)), dtype=np.complex128)
-    for i, tau in enumerate(taus):
-        v = _shifted(phi, grid.shift_index(tau)) * phi.conj()
-        # H(tau, s) = e^{pi i tau s} * conj( dt sum conj(v) e^{-2 pi i s t} )
-        for start in range(0, len(sigmas), grid.n):
-            stop = min(start + grid.n, len(sigmas))
-            row = _forward_sum(v.conj(), grid, sigmas[start], stop - start)
-            out[i, start:stop] = row.conj()
-        out[i, :] *= np.exp(1j * np.pi * tau * sigmas)
+    for start in range(0, len(sigmas), grid.n):
+        stop = min(start + grid.n, len(sigmas))
+        out[:, start:stop] = _forward_sum(v_conj, grid, sigmas[start], stop - start).conj()
+    out *= np.exp(1j * np.pi * np.outer(taus, sigmas))
     return out
 
 

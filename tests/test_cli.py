@@ -87,6 +87,19 @@ def test_rerun_writes_identical_artifacts(tmp_path, monkeypatch, argv):
         assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
 
+def test_out_directory_leaves_the_artifacts_unchanged(tmp_path):
+    # the config hash names what was computed, not where it was written
+    argv = ["spectrum", "--region", "disc 0 0 1", "--grid", "49,0.25", "--rank", "3"]
+    first, second = tmp_path / "first", tmp_path / "second"
+    for out in (first, second):
+        assert main([*argv, "--out", str(out)]) == 0
+    names = sorted(p.name for p in first.iterdir())
+    assert names == sorted(p.name for p in second.iterdir())
+    assert len(names) == 5
+    for name in names:
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
 def test_spectrum_eigenfunction_export(tmp_path):
     rc = main(
         [
@@ -101,20 +114,6 @@ def test_spectrum_eigenfunction_export(tmp_path):
     for k in (0, 1):
         psi = tio.read_signal_csv(tmp_path / f"eigfun_{k}.csv")
         assert psi.norm == pytest.approx(1.0, abs=1e-8)
-
-
-def test_spectrum_oracle_flag_agrees(tmp_path):
-    base = [
-        "spectrum",
-        "--region", "disc 0 0 1",
-        "--grid", "49,0.25",
-    ]
-    assert main(base + ["--out", str(tmp_path / "fast")]) == 0
-    assert main(base + ["--oracle", "--out", str(tmp_path / "slow")]) == 0
-    fast = _read_json(tmp_path / "fast" / "summary.json")
-    slow = _read_json(tmp_path / "slow" / "summary.json")
-    assert fast["lambda1"] == pytest.approx(slow["lambda1"], abs=1e-8)
-    assert fast["trace"] == pytest.approx(slow["trace"], abs=1e-8)
 
 
 def test_asymptotics_run(tmp_path):
@@ -365,8 +364,10 @@ def test_decay_custom_window_skips_vanishing(tmp_path):
 
 def test_filter_fixed_point(tmp_path):
     spec_dir = tmp_path / "spec"
-    base = ["--region", "disc 0 0 1.5", "--grid", "49,0.25"]
-    assert main(["spectrum", *base, "--rank", "1", "--out", str(spec_dir)]) == 0
+    base = ["--region", "disc 0 0 1.5"]
+    assert main(
+        ["spectrum", *base, "--grid", "49,0.25", "--rank", "1", "--out", str(spec_dir)]
+    ) == 0
     rc = main(
         [
             "filter",
@@ -482,13 +483,42 @@ def test_config_file_unknown_key(tmp_path, capsys):
 def test_config_file_keys(tmp_path, capsys):
     # the file spells two options as their flags do: lambda and c
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("lambda=0.2\nc=2.5\nmu=0.8\n")
-    assert _load_config_file(str(cfg)) == {"lam": "0.2", "bound_c": "2.5", "mu": "0.8"}
-    for key in ("lam", "bound_c"):
+    cfg.write_text("lambda=0.2\nmu=0.8\n")
+    assert _load_config_file(str(cfg), "asymptotics") == {"lambda": 0.2, "mu": 0.8}
+    cfg.write_text("c=2.5\n")
+    assert _load_config_file(str(cfg), "autocorr") == {"c": 2.5}
+    for command, key in (("asymptotics", "lam"), ("autocorr", "bound_c")):
         cfg.write_text(f"{key}=0.2\n")
-        rc = main(["spectrum", "--config", str(cfg), "--out", str(tmp_path)])
+        rc = main([command, "--config", str(cfg), "--out", str(tmp_path)])
         assert rc == 2
         assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--scales", "2"],
+        ["filter", "--grid", "101,0.1"],
+        ["autocorr", "--window", "triangle"],
+        ["decay", "--rank", "3"],
+        ["spectrum", "--oracle"],
+    ],
+    ids=["spectrum-scales", "filter-grid", "autocorr-window", "decay-rank", "spectrum-oracle"],
+)
+def test_command_refuses_a_flag_it_does_not_read(tmp_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "command, line", [("spectrum", "scales=2"), ("decay", "lambda=0.2")]
+)
+def test_command_refuses_a_config_key_it_does_not_read(tmp_path, capsys, command, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert repr(line.partition("=")[0]) in capsys.readouterr().err
 
 
 def test_seed_is_not_an_option(tmp_path, capsys):
