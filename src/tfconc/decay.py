@@ -374,6 +374,12 @@ def fourier_side_check(spectrum: Spectrum, region: Region) -> dict:
     that the spans are numerically unstable while the eigenvalue comparison
     is still meaningful.  ``spectrum`` must hold the eigenfunctions of those
     clusters, else DomainError; the twin computes only those.
+
+    The transformed window carries FFT rounding in its imaginary part (about
+    1e-13 of its peak for the stock windows), so the twin is assembled and
+    solved on the complex path.  For a real window on a region
+    mirror-symmetric about ``sigma = 0`` the spectrum came from the real
+    path, so the check then also compares the two paths with each other.
     """
     clusters = _fourier_clusters(spectrum.eigenvalues)
     need = _end(clusters)

@@ -52,7 +52,9 @@ class ConcentrationOperator:
     ``matrix[a, b]`` approximates the integral kernel at ``(t_a, t_b)``; the
     matrix acting on coefficient vectors is ``dt * matrix``.  Exactly
     Hermitian: the fast assembly writes each entry with its conjugate twin,
-    and the oracle route is symmetrized.
+    and the oracle route is symmetrized.  The fast assembly stores a real
+    window on a region mirror-symmetric about ``sigma = 0`` as a float64
+    matrix (exactly symmetric), everything else as complex128.
     """
 
     window: Window
@@ -76,7 +78,8 @@ class ConcentrationOperator:
 @dataclass(frozen=True, eq=False)
 class Spectrum:
     """Every eigenvalue, descending and raw (un-clamped), and the leading
-    eigenfunctions: as many columns as :func:`eigendecompose` was asked for."""
+    eigenfunctions: as many columns as :func:`eigendecompose` was asked for,
+    float64 for a real operator matrix and complex128 otherwise."""
 
     operator: ConcentrationOperator
     eigenvalues: np.ndarray
@@ -134,6 +137,13 @@ def assemble(
     area.  This is algebraically the column-by-column analyze -> mask ->
     synthesize composition, reorganized.
 
+    The matrix is real, and stored as float64, exactly when the window
+    samples have no nonzero imaginary part and the raster is mirror-symmetric
+    about ``sigma = 0`` (the sigma values equal their negated reverse and the
+    weights their sigma-reverse): then every ``D_i(l)`` is real, so the lag
+    correlation runs on ``rfft``/``irfft`` and the matrix takes half the
+    storage.  The rule is exact; no tolerance on ``Im M`` enters it.
+
     ``oracle=True`` instead sums ``weight * outer(g_c, conj(g_c))`` over raster
     cells with ``g_c`` the explicitly shifted window -- the direct quadrature
     of the kernel formula, kept as an independent slow route.
@@ -162,7 +172,8 @@ def _assemble_fast(window: Window, raster: RasterizedRegion) -> np.ndarray:
     grid = window.grid
     pg = raster.phase_grid
     n = grid.n
-    out = np.zeros((n, n), dtype=np.complex128)
+    real = _mirror_symmetric(window, raster)
+    out = np.zeros((n, n), dtype=np.float64 if real else np.complex128)
     active = raster.mask.any(axis=1)
     if not active.any():
         return out
@@ -187,13 +198,18 @@ def _assemble_fast(window: Window, raster: RasterizedRegion) -> np.ndarray:
     lags = np.arange(width)
     kernels = n * np.fft.ifft(cells, n)[:, :width]
     kernels *= pg.cell_area * np.exp(2j * np.pi * pg.sigma_values[0] * grid.dt * lags)
+    fft, ifft = np.fft.fft, np.fft.ifft
+    if real:
+        # mirrored sigma terms pair into conjugates: D_k is real up to rounding
+        kernels, support = kernels.real, support.real
+        fft, ifft = np.fft.rfft, np.fft.irfft
     back = lags[None, :] - lags[:, None]  # [l, v] -> v - l
     products = np.where(back >= 0, support * support.conj()[np.maximum(back, 0)], 0)
     size = n_rows + width - 1
     fft_len = _fast_length(size)
-    spec = np.fft.fft(kernels[::-1].T, fft_len) * np.fft.fft(products, fft_len)
+    spec = fft(kernels[::-1].T, fft_len) * fft(products, fft_len)
     # corr[l, j] = M[a, a - l] at j = a + s0 - first + n_rows - 1
-    corr = np.fft.ifft(spec)[:, :size]
+    corr = ifft(spec, fft_len)[:, :size]
     # lag 0 directly: a real sum of exact cell counts (a whole cell is 1), so
     # the diagonal is real and the trace tracks the raster area
     counts = pg.cell_area * cells.sum(axis=1)
@@ -212,6 +228,17 @@ def _assemble_fast(window: Window, raster: RasterizedRegion) -> np.ndarray:
     flat[(aa - ll) * n + aa] = vals.conj()
     flat[aa * (n + 1) - ll] = vals
     return out
+
+
+def _mirror_symmetric(window: Window, raster: RasterizedRegion) -> bool:
+    """Whether the operator matrix is exactly real: a real window on a raster
+    mirror-symmetric about ``sigma = 0``, decided by exact comparisons."""
+    sigmas, weights = raster.phase_grid.sigma_values, raster.weights
+    return (
+        not window.samples.imag.any()
+        and np.array_equal(sigmas, -sigmas[::-1])
+        and np.array_equal(weights, weights[:, ::-1])
+    )
 
 
 def _fast_length(m: int) -> int:
@@ -246,11 +273,14 @@ def eigendecompose(
 
     ``vectors`` is the number of leading eigenfunctions to compute, or a
     function of the descending eigenvalues that returns it; None computes all
-    ``n``.  One Householder reduction to real tridiagonal form (LAPACK
-    ``zhetrd``) serves both halves: ``dsterf`` gives every eigenvalue, and
-    the MRRR solver ``dstemr`` gives only the eigenvectors in the leading
-    index range, at ``O(n k)`` cost, before the reflectors carry them back
-    (``zunmqr``).  No ``n x n`` eigenvector matrix is formed unless all are
+    ``n``.  One Householder reduction to real tridiagonal form serves both
+    halves: ``dsterf`` gives every eigenvalue, and the MRRR solver ``dstemr``
+    gives only the eigenvectors in the leading index range, at ``O(n k)``
+    cost, before the reflectors carry them back.  The chain follows the
+    matrix dtype: a float64 matrix (see :func:`assemble`) is reduced by
+    ``dsytrd`` and back-transformed by ``dormqr``, in real arithmetic, and
+    gets real eigenfunctions; a complex one goes through ``zhetrd`` and
+    ``zunmqr``.  No ``n x n`` eigenvector matrix is formed unless all are
     asked for.  The dense linear algebra goes through ``scipy.linalg`` only,
     so one OpenBLAS library runs on the operator path.
 
@@ -259,8 +289,10 @@ def eigendecompose(
     is PSD and norm-bounded by one, so anything worse means a broken matrix),
     as is a matrix that is not Hermitian or a LAPACK failure.  Eigenfunctions
     have unit grid norm and a canonical phase: the first entry within a
-    relative 1e-6 of the largest modulus is real and positive.  Inside a
-    near-degenerate cluster the basis itself still depends on rounding.
+    relative 1e-6 of the largest modulus is real and positive (for real
+    eigenfunctions the phase is a sign).  Inside a near-degenerate cluster
+    the basis itself still depends on rounding, and the real chain's basis
+    there differs from the complex chain's.
     """
     n = op.grid.n
     dt = op.grid.dt
@@ -268,11 +300,15 @@ def eigendecompose(
     if herm_gap > _HERMITIAN_TOL * max(1.0, dt * float(np.abs(op.matrix).max())):
         raise NumericalError(f"operator matrix lost Hermitian symmetry ({herm_gap:.2e})")
 
-    a = np.empty((n, n), dtype=np.complex128, order="F")
+    real = not np.iscomplexobj(op.matrix)
+    dtype = np.float64 if real else np.complex128
+    trd, mqr = ("dsytrd", "dormqr") if real else ("zhetrd", "zunmqr")
+    a = np.empty((n, n), dtype=dtype, order="F")
     np.multiply(op.matrix, dt, out=a)
-    lwork = int(_lapack_ok("zhetrd_lwork", *lapack.zhetrd_lwork(n, lower=1)).real)
+    query = getattr(lapack, trd + "_lwork")
+    lwork = int(_lapack_ok(trd + "_lwork", *query(n, lower=1)).real)
     reflectors, diag, off, tau = _lapack_ok(
-        "zhetrd", *lapack.zhetrd(a, lower=1, lwork=lwork, overwrite_a=1)
+        trd, *getattr(lapack, trd)(a, lower=1, lwork=lwork, overwrite_a=1)
     )
     vals = _lapack_ok("dsterf", *lapack.dsterf(diag, off))[::-1]
     if vals[-1] < -_EIG_RANGE_TOL or vals[0] > 1.0 + _EIG_RANGE_TOL:
@@ -283,15 +319,16 @@ def eigendecompose(
     k = vectors(vals) if callable(vectors) else (n if vectors is None else vectors)
     if not 0 <= k <= n:
         raise DomainError(f"vectors must be in [0, {n}], got {k}")
-    vecs = np.empty((n, k), dtype=np.complex128, order="F")
+    vecs = np.empty((n, k), dtype=dtype, order="F")
     if k:
         vecs[:] = _tridiagonal_vectors(diag, off, vals, k)
         # Q = H(1) ... H(n-1) acts on rows 1..n-1; reflector i lives below
         # the subdiagonal of column i, a QR-shaped block
         block, rows = reflectors[1:, : n - 1], vecs[1:]
-        _, work = _lapack_ok("zunmqr", *lapack.zunmqr("L", "N", block, tau, rows, -1))
+        ormqr = getattr(lapack, mqr)
+        _, work = _lapack_ok(mqr, *ormqr("L", "N", block, tau, rows, -1))
         lwork = int(work[0].real)
-        rows[:] = _lapack_ok("zunmqr", *lapack.zunmqr("L", "N", block, tau, rows, lwork))[0]
+        rows[:] = _lapack_ok(mqr, *ormqr("L", "N", block, tau, rows, lwork))[0]
         vecs *= _canonical_phase(vecs) / np.sqrt(dt)
     return Spectrum(op, vals, vecs)
 
@@ -336,7 +373,8 @@ def _lapack_ok(name: str, *outputs):
 
 
 def _canonical_phase(vecs: np.ndarray) -> np.ndarray:
-    """Per column, the unit factor that makes its leading entry real and positive.
+    """Per column, the unit factor that makes its leading entry real and
+    positive: a sign for real columns.
 
     The leading entry is the first whose modulus is within a relative 1e-6 of
     the column's largest, so rounding cannot move it between the mirrored

@@ -73,8 +73,9 @@ def test_spectrum_deterministic_rerun(tmp_path):
 )
 def test_rerun_writes_identical_artifacts(tmp_path, monkeypatch, argv):
     # the determinism promise: same machine, same BLAS threads, same bytes.
-    # The output directory is part of the hashed configuration, so both runs
-    # write to "." from two different working directories.
+    # Both runs take the same argv and the default output directory ".", each
+    # from its own working directory, so the two sets of artifacts sit side
+    # by side for comparison without either run naming a path.
     first, second = tmp_path / "first", tmp_path / "second"
     for cwd in (first, second):
         cwd.mkdir()

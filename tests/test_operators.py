@@ -4,6 +4,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gammainc
 
 import tfconc as tc
@@ -163,6 +165,81 @@ def test_zero_outside_support_blocks_across_row_gap(tri_window):
     assert not np.diagonal(inside)[band[0] : band[-1] + 1].all()  # a gap in the band
     assert np.all(matrix[~inside] == 0)
     assert matrix[inside].any()
+
+
+def _auto_op(family, spec):
+    region = tc.parse_region(spec)
+    return tc.assemble(tc.make_window(family, tc.auto_grid(family, region)), region)
+
+
+def test_real_matrix_for_mirror_symmetric_operators(
+    gauss_disc_op, tri_disc_op, gauss_window
+):
+    centred_rect = tc.assemble(gauss_window, tc.Rect(-1.5, 0.5, -1.0, 1.0))
+    tau_offset = _auto_op("gaussian", "disc 1.5 0 6")  # still mirrored in sigma
+    for op in (gauss_disc_op, tri_disc_op, centred_rect, tau_offset):
+        assert op.matrix.dtype == np.float64
+        assert np.array_equal(op.matrix, op.matrix.T)
+
+
+def test_complex_matrix_otherwise(gauss_window):
+    sigma_offset = _auto_op("gaussian", "disc 0 1.5 6")
+    chirp = tc.assemble(_chirp(gauss_window), tc.Disc((0.0, 0.0), 1.5))
+    reweighted = _raster(gauss_window, _Reweighted(tc.Disc((0.0, 0.0), 1.5)))
+    unmirrored = tc.assemble(gauss_window, reweighted)
+    # mirrored weights on a sigma grid that is not symmetric about 0
+    centred = _raster(gauss_window, tc.Disc((0.0, 0.0), 1.5))
+    pg = centred.phase_grid
+    up = tc.PhaseGrid(pg.grid, pg.tau_values, pg.sigma_values + 3 * pg.dsigma)
+    shifted = tc.assemble(gauss_window, tc.RasterizedRegion(up, centred.weights))
+    for op in (sigma_offset, chirp, unmirrored, shifted):
+        assert op.matrix.dtype == np.complex128
+        assert np.abs(op.matrix.imag).max() > 1e-3 * np.abs(op.matrix).max()
+
+
+def _mirrored_polygon(taus, heights):
+    """The polygon over the sorted ``taus`` (in eighths) whose upper chain has
+    the given ``heights`` (in eighths) and whose lower chain mirrors it."""
+    taus = np.sort(taus) / 8
+    upper = np.column_stack([taus, np.asarray(heights) / 8])
+    lower = upper[::-1] * [1.0, -1.0]
+    return tc.Polygon(np.vstack([upper, lower]))
+
+
+def _mirrored_regions():
+    """Regions mirror-symmetric about sigma = 0 that fit the 48-point grid of
+    step 0.25: rects centred in sigma, discs offset in tau only, and polygons
+    whose lower chain mirrors the upper one, all on a 1/8 lattice."""
+    eighths = st.integers(-20, 20).map(lambda i: i / 8)
+    size = st.integers(1, 12).map(lambda i: i / 8)
+    rect = st.builds(
+        lambda t0, t1, h: tc.Rect(min(t0, t1), max(t0, t1), -h, h), eighths, eighths, size
+    )
+    disc = st.builds(lambda cx, r: tc.Disc((cx, 0.0), r), eighths, size)
+    poly = st.lists(st.integers(-20, 20), min_size=2, max_size=5, unique=True).flatmap(
+        lambda taus: st.builds(
+            _mirrored_polygon,
+            st.just(taus),
+            st.lists(st.integers(1, 12), min_size=len(taus), max_size=len(taus)),
+        )
+    )
+    return st.one_of(rect, disc, poly)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(family=st.sampled_from(["gaussian", "triangle"]), region=_mirrored_regions())
+def test_mirrored_regions_assemble_real(family, region):
+    window = tc.make_window(family, tc.SampleGrid(48, 0.25))
+    raster = _raster(window, region)
+    assert np.array_equal(raster.weights, raster.weights[:, ::-1])
+    fast = tc.assemble(window, raster)
+    slow = tc.assemble(window, raster, oracle=True)
+    assert fast.matrix.dtype == np.float64
+    gap = np.abs(fast.matrix - slow.matrix).max()
+    assert gap <= 1e-13 * np.abs(slow.matrix).max(initial=0.0)
+    assert fast.trace == pytest.approx(raster.area, rel=1e-13, abs=1e-13)
+    vals = tc.eigendecompose(fast, vectors=0).eigenvalues
+    assert -1e-12 <= vals[-1] and vals[0] <= 1.0 + 1e-12
 
 
 def test_fast_path_uses_cell_weights(rng):
@@ -447,9 +524,15 @@ def _tiny_op(n, eigenvalues, rng):
 @pytest.fixture(scope="module")
 def oracle_ops(gauss_grid, gauss_window, tri_disc_op):
     rng = np.random.default_rng(7)
+    gaussian = tc.assemble(gauss_window, tc.Disc((0.0, 0.0), 3.0))
     return {
-        "gaussian": tc.assemble(gauss_window, tc.Disc((0.0, 0.0), 3.0)),
+        "gaussian": gaussian,
+        # the same matrix stored as complex128, for the complex LAPACK chain
+        "gaussian as complex": tc.ConcentrationOperator(
+            gaussian.window, gaussian.raster, gaussian.matrix.astype(complex)
+        ),
         "triangle": tri_disc_op,
+        "tau-offset": tc.assemble(gauss_window, tc.Disc((0.7, 0.0), 2.5)),
         "off-centre": tc.assemble(gauss_window, tc.Disc((0.7, -0.4), 2.5)),
         "chirp": tc.assemble(_chirp(gauss_window), tc.Disc((0.4, -0.3), 2.5)),
         "empty": _empty_op(gauss_grid, gauss_window),
@@ -458,13 +541,30 @@ def oracle_ops(gauss_grid, gauss_window, tri_disc_op):
     }
 
 
+_REAL_CASES = {"gaussian", "triangle", "tau-offset", "empty"}
+
+
 @pytest.mark.parametrize(
-    "case", ["gaussian", "triangle", "off-centre", "chirp", "empty", "n=2", "n=3"]
+    "case",
+    [
+        "gaussian",
+        "gaussian as complex",
+        "triangle",
+        "tau-offset",
+        "off-centre",
+        "chirp",
+        "empty",
+        "n=2",
+        "n=3",
+    ],
 )
 def test_leading_vectors_match_full_eigh(oracle_ops, case):
     # np.linalg.eigh on the same matrix is the oracle; k runs over none, one,
-    # a cut inside the leading cluster, the whole leading cluster, and all
+    # a cut inside the leading cluster, the whole leading cluster, and all,
+    # on the real LAPACK chain (float64 matrices) and the complex one
     op = oracle_ops[case]
+    dtype = np.float64 if case in _REAL_CASES else np.complex128
+    assert op.matrix.dtype == dtype
     n, dt = op.grid.n, op.grid.dt
     a = dt * op.matrix
     ref_vals, ref_vecs = np.linalg.eigh(a)
@@ -478,7 +578,7 @@ def test_leading_vectors_match_full_eigh(oracle_ops, case):
         spec = tc.eigendecompose(op, vectors=k)
         assert np.max(np.abs(spec.eigenvalues - ref_vals)) < 1e-12
         v = np.sqrt(dt) * spec.eigenfunctions
-        assert v.shape == (n, k)
+        assert v.shape == (n, k) and v.dtype == dtype
         resid = a @ v - v * spec.eigenvalues[:k]
         assert np.max(np.linalg.norm(resid, axis=0), initial=0.0) < 1e-12
         assert np.max(np.abs(v.conj().T @ v - np.eye(k)), initial=0.0) < 1e-12
@@ -486,6 +586,34 @@ def test_leading_vectors_match_full_eigh(oracle_ops, case):
         if k and at_boundary:
             cosines = np.linalg.svd(ref_vecs[:, :k].conj().T @ v, compute_uv=False)
             assert cosines.min() >= 1.0 - 1e-10, (case, k)
+
+
+def test_real_chain_matches_complex_chain(oracle_ops):
+    # the same real symmetric matrix through dsytrd/dormqr and through
+    # zhetrd/zunmqr: equal spectra, both eigenbases exact, equal spans
+    # wherever a cut leaves every cluster whole
+    real = oracle_ops["gaussian"]
+    twin = oracle_ops["gaussian as complex"]
+    n, dt = real.grid.n, real.grid.dt
+    a = dt * real.matrix
+    vals = tc.eigendecompose(real, vectors=0).eigenvalues
+    first = _clusters(vals, 1, floor=-1.0)[0]
+    assert len(first) > 1
+    for k in (0, 1, first.start + len(first) // 2, first.stop, n):
+        ours = tc.eigendecompose(real, vectors=k)
+        theirs = tc.eigendecompose(twin, vectors=k)
+        assert ours.eigenfunctions.dtype == np.float64
+        assert theirs.eigenfunctions.dtype == np.complex128
+        assert np.max(np.abs(ours.eigenvalues - theirs.eigenvalues)) < 1e-13
+        spans = []
+        for spec in (ours, theirs):
+            v = np.sqrt(dt) * spec.eigenfunctions
+            resid = a @ v - v * spec.eigenvalues[:k]
+            assert np.max(np.linalg.norm(resid, axis=0), initial=0.0) <= 1e-12
+            spans.append(v)
+        if k and (k == n or vals[k - 1] - vals[k] >= 1e-6):
+            cosines = np.linalg.svd(spans[0].T @ spans[1], compute_uv=False)
+            assert cosines.min() >= 1.0 - 1e-10, k
 
 
 def _phase_fixed(vecs):
