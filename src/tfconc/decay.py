@@ -376,10 +376,12 @@ def fourier_side_check(spectrum: Spectrum, region: Region) -> dict:
     clusters, else DomainError; the twin computes only those.
 
     The transformed window carries FFT rounding in its imaginary part (about
-    1e-13 of its peak for the stock windows), so the twin is assembled and
-    solved on the complex path.  For a real window on a region
-    mirror-symmetric about ``sigma = 0`` the spectrum came from the real
-    path, so the check then also compares the two paths with each other.
+    1e-13 of its peak for the stock windows) and is even only to about 8e-14,
+    so the twin is assembled and solved on the complex, one-block path.  For
+    a real window on a region mirror-symmetric about ``sigma = 0`` the
+    spectrum came from the real path, and for an even window on a centred
+    region from the parity split (see :func:`tfconc.operators.eigendecompose`),
+    so the check then also compares those paths with the plain complex chain.
     """
     clusters = _fourier_clusters(spectrum.eigenvalues)
     need = _end(clusters)

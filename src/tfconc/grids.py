@@ -53,8 +53,15 @@ class SampleGrid:
 
     @property
     def times(self) -> np.ndarray:
-        """Sample positions ``t_start + k * dt``."""
-        return self.t_start + self.dt * np.arange(self.n)
+        """Sample positions ``dt * (k - (n - 1) / 2)``, so ``times[0] == t_start``.
+
+        The offsets ``k - (n - 1) / 2`` are exact half-integers and each is
+        multiplied by ``dt`` once, so the grid is exactly antisymmetric:
+        ``times == -times[::-1]`` bit for bit, and an even profile sampled on
+        it equals its reverse exactly, which ``t_start + k * dt`` (rounding
+        unevenly) would lose.
+        """
+        return self.dt * (np.arange(self.n) - (self.n - 1) / 2)
 
     @property
     def span(self) -> float:

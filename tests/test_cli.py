@@ -117,6 +117,32 @@ def test_spectrum_eigenfunction_export(tmp_path):
         assert psi.norm == pytest.approx(1.0, abs=1e-8)
 
 
+def test_centred_disc_eigenfunctions_exactly_even_or_odd(tmp_path):
+    argv = ["spectrum", "--region", "disc 0 0 1.5", "--rank", "8"]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    for k in range(8):
+        rows = np.loadtxt(tmp_path / f"eigfun_{k}.csv", delimiter=",", skiprows=2)
+        t, re, im = rows.T
+        assert np.array_equal(t, -t[::-1])
+        assert not im.any()
+        assert np.array_equal(re, re[::-1]) or np.array_equal(re, -re[::-1]), k
+
+
+def test_oversized_explicit_grid_fails_fast(tmp_path, capsys, monkeypatch):
+    # exit 2 before rasterizing or allocating: a 60000-sample grid would need
+    # 115.2 GB for the matrix and the eigensolver's copy
+    def forbidden(*args, **kwargs):
+        raise AssertionError("reached past the matrix budget check")
+
+    monkeypatch.setattr("tfconc.operators.rasterize", forbidden)
+    monkeypatch.setattr("tfconc.operators._assemble_fast", forbidden)
+    argv = ["spectrum", "--region", "disc 0 0 1", "--grid", "60000,0.001"]
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "n=60000" in err and "115200000000 bytes" in err
+    assert not any(tmp_path.iterdir())
+
+
 def test_asymptotics_run(tmp_path):
     rc = main(
         [

@@ -22,6 +22,15 @@ def test_grid_fields():
     assert g.times[112] == pytest.approx(0.0, abs=1e-14)
 
 
+@pytest.mark.parametrize("n", [2, 3, 48, 49, 309, 555, 1000])
+@pytest.mark.parametrize("dt", [1.0 / 15.0, 0.0123456789, 0.25])
+def test_times_exactly_antisymmetric(n, dt):
+    # even profiles sampled on the grid must equal their reverse bit for bit
+    t = tc.SampleGrid(n, dt).times
+    assert np.array_equal(t, -t[::-1])
+    assert t[0] == tc.SampleGrid(n, dt).t_start
+
+
 def test_grid_validation():
     with pytest.raises(ValueError):
         tc.SampleGrid(1, 0.1)

@@ -1,5 +1,7 @@
 """Concentration operator: assembly, spectrum, traces, energies, filtering."""
 
+import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -509,6 +511,30 @@ def test_phase_space_matrix_cell_cap(gauss_window, monkeypatch):
         tc.phase_space_eigenvalues(op)
 
 
+def test_oversized_grid_refused_before_any_array(monkeypatch):
+    # the budget covers the n x n complex matrix and the eigensolver's copy
+    n_max = math.isqrt(operators._MATRIX_BUDGET // (2 * 16))
+    operators._require_matrix_budget(n_max)
+    operators._require_matrix_budget(2048)  # the auto-grid cap fits
+    n = n_max + 1
+    window = tc.make_window("gaussian", tc.SampleGrid(n, 0.01))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("reached past the matrix budget check")
+
+    for name in ("rasterize", "_assemble_fast", "_assemble_oracle"):
+        monkeypatch.setattr(operators, name, forbidden)
+    raster = tc.RasterizedRegion(
+        tc.PhaseGrid(window.grid, [0.0], [0.0]), np.ones((1, 1))
+    )
+    for region in (tc.Disc((0.0, 0.0), 1.0), raster):
+        for oracle in (False, True):
+            with pytest.raises(tc.CoverageError) as err:
+                tc.assemble(window, region, oracle=oracle)
+            assert f"n={n} " in str(err.value)
+            assert f"{2 * 16 * n * n} bytes" in str(err.value)
+
+
 def _tiny_op(n, eigenvalues, rng):
     """An operator of ``n <= 3`` samples with the given spectrum: too small a
     grid for any window's support, so the matrix is set directly."""
@@ -614,6 +640,200 @@ def test_real_chain_matches_complex_chain(oracle_ops):
         if k and (k == n or vals[k - 1] - vals[k] >= 1e-6):
             cosines = np.linalg.svd(spans[0].T @ spans[1], compute_uv=False)
             assert cosines.min() >= 1.0 - 1e-10, k
+
+
+def _parity_basis(n):
+    """Columns ``(e_a + e_{n-1-a}) / sqrt(2)`` (and ``e_{n//2}`` for odd ``n``),
+    then ``(e_a - e_{n-1-a}) / sqrt(2)``: the even, then the odd half."""
+    h = n // 2
+    eye = np.eye(n)
+    even = [(eye[a] + eye[n - 1 - a]) / np.sqrt(2) for a in range(h)]
+    odd = [(eye[a] - eye[n - 1 - a]) / np.sqrt(2) for a in range(h)]
+    return np.column_stack(even + ([eye[h]] if n % 2 else []) + odd)
+
+
+def _centro_tiny_op(even_vals, odd_vals, rng):
+    """A complex operator of ``n <= 5`` samples that commutes with the
+    reversal, with the given even and odd spectra: a random unitary in each
+    half of the parity basis."""
+    m, h = len(even_vals), len(odd_vals)
+    op = _tiny_op(m + h, np.zeros(m + h), rng)
+    q = np.zeros((m + h, m + h), dtype=complex)
+    for block, size in ((slice(0, m), m), (slice(m, m + h), h)):
+        z = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+        q[block, block] = np.linalg.qr(z)[0]
+    q = _parity_basis(m + h) @ q
+    a = (q * np.concatenate([even_vals, odd_vals])) @ q.conj().T
+    a = 0.5 * (a + a.conj().T)
+    return dataclasses.replace(op, matrix=a / op.grid.dt)
+
+
+def _parallelogram():
+    """Symmetric under (tau, sigma) -> (-tau, -sigma) but not mirrored in sigma."""
+    return tc.Polygon([(-1.5, -0.5), (0.5, -1.0), (1.5, 0.5), (-0.5, 1.0)])
+
+
+@pytest.fixture(scope="module")
+def split_ops(gauss_window, tri_disc_op, oracle_ops):
+    rng = np.random.default_rng(11)
+    even_grid = tc.make_window("gaussian", tc.SampleGrid(48, 0.25))
+    return {
+        "gaussian": oracle_ops["gaussian"],
+        "triangle": tri_disc_op,
+        "parallelogram": tc.assemble(gauss_window, _parallelogram()),
+        "chirp": tc.assemble(_chirp(gauss_window), tc.Disc((0.0, 0.0), 2.5)),
+        "even n": tc.assemble(even_grid, tc.Disc((0.0, 0.0), 1.5)),
+        # a cluster shared by both halves; 1 x 1 blocks
+        "n=2": _centro_tiny_op([0.8], [0.3], rng),
+        "n=3": _centro_tiny_op([0.9, 0.1], [0.9], rng),
+        "n=5": _centro_tiny_op([0.95, 0.95, 0.1], [0.95, 0.4], rng),
+        "tau-offset": oracle_ops["tau-offset"],
+    }
+
+
+_SPLIT_DTYPES = {
+    "gaussian": np.float64,
+    "triangle": np.float64,
+    "parallelogram": np.complex128,
+    "chirp": np.complex128,
+    "even n": np.float64,
+    "n=2": np.complex128,
+    "n=3": np.complex128,
+    "n=5": np.complex128,
+    "tau-offset": np.float64,
+}
+
+
+def test_centrosymmetric_rule_is_exact(gauss_window, tri_window):
+    # each condition of the rule refuses on its own: the window samples, the
+    # tau values, the sigma values and the weights
+    centred = _raster(gauss_window, tc.Disc((0.0, 0.0), 1.5))
+    pg = centred.phase_grid
+    t = gauss_window.grid.times
+    tilted = tc.Window(
+        tc.Signal(gauss_window.grid, gauss_window.samples * (1 + 0.1 * t)), "custom"
+    )
+    up = tc.PhaseGrid(pg.grid, pg.tau_values, pg.sigma_values + 3 * pg.dsigma)
+    late = tc.PhaseGrid(pg.grid, pg.tau_values + 2 * pg.dtau, pg.sigma_values)
+    reweighted = _raster(gauss_window, _Reweighted(tc.Disc((0.0, 0.0), 1.5)))
+    twin = _fourier_twin(gauss_window)
+    rule = operators._centrosymmetric
+    assert rule(gauss_window, centred)
+    assert rule(tri_window, _raster(tri_window, tc.Disc((0.0, 0.0), 1.0)))
+    assert rule(_chirp(gauss_window), centred)
+    assert not rule(tilted, centred)
+    assert not rule(gauss_window, tc.RasterizedRegion(up, centred.weights))
+    assert not rule(gauss_window, tc.RasterizedRegion(late, centred.weights))
+    assert not rule(gauss_window, reweighted)
+    # the transformed window is even only up to FFT rounding
+    assert np.max(np.abs(twin.samples - twin.samples[::-1])) < 1e-12
+    assert not rule(twin, centred)
+
+
+@pytest.mark.parametrize("case", list(_SPLIT_DTYPES))
+def test_parity_split_matches_full_eigh(split_ops, case, monkeypatch):
+    # the even/odd blocks against np.linalg.eigh on the whole matrix, for k
+    # over none, one, a cut inside the leading cluster, its end, and all
+    op = split_ops[case]
+    split = case != "tau-offset"
+    assert op.matrix.dtype == _SPLIT_DTYPES[case]
+    assert operators._centrosymmetric(op.window, op.raster) is split
+    fold, folded = operators._parity_blocks, []
+
+    def spy(*args):
+        folded.append(fold(*args))
+        return folded[-1]
+
+    monkeypatch.setattr(operators, "_parity_blocks", spy)
+
+    n, dt = op.grid.n, op.grid.dt
+    a = dt * op.matrix
+    ref_vals, ref_vecs = np.linalg.eigh(a)
+    ref_vals, ref_vecs = ref_vals[::-1], ref_vecs[:, ::-1]
+    first = _clusters(ref_vals, 1, floor=-1.0)[0]
+    cuts = {0, 1, first.stop, n}
+    if len(first) > 1:
+        cuts.add(first.start + len(first) // 2)
+    assert len(cuts) >= 3
+    for k in sorted(cuts):
+        spec = tc.eigendecompose(op, vectors=k)
+        assert np.max(np.abs(spec.eigenvalues - ref_vals)) < 1e-13
+        v = np.sqrt(dt) * spec.eigenfunctions
+        assert v.shape == (n, k) and v.dtype == op.matrix.dtype
+        resid = a @ v - v * spec.eigenvalues[:k]
+        assert np.max(np.linalg.norm(resid, axis=0), initial=0.0) <= 1e-12
+        assert np.max(np.abs(v.conj().T @ v - np.eye(k)), initial=0.0) < 1e-12
+        if split:
+            for col in v.T:
+                assert np.array_equal(col, col[::-1]) or np.array_equal(col, -col[::-1])
+        at_boundary = k == n or ref_vals[k - 1] - ref_vals[k] >= 1e-6
+        if k and at_boundary:
+            cosines = np.linalg.svd(ref_vecs[:, :k].conj().T @ v, compute_uv=False)
+            assert cosines.min() >= 1.0 - 1e-10, (case, k)
+    # the blocks were folded (not refused as coupled) exactly when split
+    assert len(folded) == (len(cuts) if split else 0)
+    assert all(blocks is not None for blocks in folded)
+
+
+def test_coupled_halves_take_one_block(oracle_ops):
+    # a matrix that does not commute with the reversal, on a window and a
+    # raster that pass the rule: the halves couple, so no fold
+    op = oracle_ops["n=3"]
+    assert operators._centrosymmetric(op.window, op.raster)
+    dtype = op.matrix.dtype
+    assert operators._parity_blocks(op.matrix, op.grid.dt, 1e-12, dtype) is None
+    spec = tc.eigendecompose(op)
+    ref = np.linalg.eigvalsh(op.grid.dt * op.matrix)[::-1]
+    assert np.max(np.abs(spec.eigenvalues - ref)) < 1e-13
+
+
+def _centrosymmetric_regions():
+    """Regions symmetric under (tau, sigma) -> (-tau, -sigma) on a 1/8
+    lattice that fit a 48-point grid of step 0.25: centred rects and discs,
+    and parallelograms with corners p, q, -p, -q (complex operators)."""
+    size = st.integers(1, 12).map(lambda i: i / 8)
+    rect = st.builds(lambda a, b: tc.Rect(-a, a, -b, b), size, size)
+    disc = st.builds(lambda r: tc.Disc((0.0, 0.0), r), size)
+    corner = st.tuples(st.integers(-12, 12), st.integers(-12, 12))
+    poly = (
+        st.tuples(corner, corner)
+        .filter(lambda pq: pq[0][0] * pq[1][1] - pq[0][1] * pq[1][0] > 0)
+        .map(lambda pq: tc.Polygon(np.array([*pq, *np.negative(pq)]) / 8))
+    )
+    return st.one_of(rect, disc, poly)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    family=st.sampled_from(["gaussian", "triangle"]),
+    n=st.sampled_from([47, 48]),
+    region=_centrosymmetric_regions(),
+    k=st.integers(0, 47),
+)
+def test_centrosymmetric_regions_split(family, n, region, k):
+    window = tc.make_window(family, tc.SampleGrid(n, 0.25))
+    op = tc.assemble(window, _raster(window, region))
+    assert operators._centrosymmetric(op.window, op.raster)
+    dt = op.grid.dt
+    spec = tc.eigendecompose(op, vectors=k)
+    ref = np.linalg.eigvalsh(dt * op.matrix)[::-1]
+    assert np.max(np.abs(spec.eigenvalues - ref)) < 1e-13
+    v = np.sqrt(dt) * spec.eigenfunctions
+    resid = dt * op.matrix @ v - v * spec.eigenvalues[:k]
+    assert np.max(np.linalg.norm(resid, axis=0), initial=0.0) <= 1e-12
+    for col in v.T:
+        assert np.array_equal(col, col[::-1]) or np.array_equal(col, -col[::-1])
+
+
+def test_stray_mrrr_vector_is_caught():
+    # tridiagonal with eigenvalues 0.9, 0.5, 0.1: each vector's Rayleigh
+    # quotient must sit on its eigenvalue, so a vector standing in for one
+    # that converged to a neighbour (0.9 where 0.95 was asked) is refused
+    diag, off = np.array([0.5, 0.5, 0.5]), np.full(2, 0.4 / np.sqrt(2))
+    got = operators._tridiagonal_vectors(diag, off, np.array([0.9, 0.5, 0.1]), 2)
+    assert got.shape == (3, 2)
+    with pytest.raises(tc.NumericalError, match="off their eigenvalues"):
+        operators._tridiagonal_vectors(diag, off, np.array([0.95, 0.9, 0.5]), 1)
 
 
 def _phase_fixed(vecs):

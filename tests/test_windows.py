@@ -106,3 +106,14 @@ def test_custom_window_has_no_stock_radii():
         w.essential_radius
     with pytest.raises(tc.UnsupportedCaseError):
         tc.auto_grid("custom", tc.Disc((0.0, 0.0), 1.0))
+
+
+@pytest.mark.parametrize("family", ["gaussian", "triangle"])
+@pytest.mark.parametrize(
+    "spec",
+    ["disc 0 0 1", "disc 0 0 6", "disc 0 0 9", "rect -1 2 -0.5 0.5", "disc 1.5 -0.5 2"],
+)
+def test_stock_windows_on_auto_grids_are_exactly_even(family, spec):
+    # what the parity split of a centred operator's eigensolve rests on
+    w = tc.make_window(family, tc.auto_grid(family, tc.parse_region(spec)))
+    assert np.array_equal(w.samples, w.samples[::-1])
