@@ -43,19 +43,29 @@ def _header(tag: str) -> str:
     return f"# tfc {__version__} config={tag}"
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
+def _cells(values) -> list[str]:
+    """One column's cells: bools as 1/0, integers as themselves, everything
+    else as float64 with 17 significant digits."""
+    col = np.asarray(values)
+    if col.dtype == np.bool_:
+        return ["1" if v else "0" for v in col.tolist()]
+    if np.issubdtype(col.dtype, np.integer):
+        return [str(v) for v in col.tolist()]
+    return [format(v, ".17g") for v in col.astype(np.float64, copy=False).tolist()]
+
+
+def _write_columns(path, names, columns, tag: str) -> None:
+    """A CSV of equally long data columns, each formatted as a whole."""
+    body = map(",".join, zip(*(_cells(col) for col in columns)))
+    lines = [_header(tag), ",".join(names), *body]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def write_csv(path, columns, rows, tag: str = "-") -> None:
-    lines = [_header(tag), ",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """A CSV with the header line, the ``columns`` names and one line per
+    row; the values of each column are formatted together (see
+    :func:`_cells`)."""
+    _write_columns(path, columns, list(zip(*rows)), tag)
 
 
 def _jsonable(value):
@@ -87,8 +97,8 @@ def write_json(path, payload: dict, tag: str = "-") -> None:
 
 
 def write_signal_csv(path, signal: Signal, tag: str = "-") -> None:
-    rows = zip(signal.grid.times, signal.samples.real, signal.samples.imag)
-    write_csv(path, ("t", "re", "im"), rows, tag)
+    data = (signal.grid.times, signal.samples.real, signal.samples.imag)
+    _write_columns(path, ("t", "re", "im"), data, tag)
 
 
 def _read_rows(path, header: tuple[str, str, str], convert) -> list[tuple]:
@@ -148,8 +158,8 @@ def read_signal_csv(path) -> Signal:
 
 
 def write_spectrum_csv(path, eigenvalues, tag: str = "-") -> None:
-    rows = ((k, lam) for k, lam in enumerate(np.asarray(eigenvalues)))
-    write_csv(path, ("k", "lambda"), rows, tag)
+    data = (np.arange(len(eigenvalues)), eigenvalues)
+    _write_columns(path, ("k", "lambda"), data, tag)
 
 
 def write_scaling_csv(path, report, tag: str = "-") -> None:

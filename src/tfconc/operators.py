@@ -130,15 +130,18 @@ def assemble(
     ``l = a - b`` (uniform sigma step), so
     ``M[a, a - l] = sum_i D_i(l) g(a + s_i) conj(g(a - l + s_i))``.  The shifts
     ``s_i`` are consecutive (the tau step is ``dt``), so for each lag this is
-    a correlation over rows of ``D_.(l)`` with ``g(u) conj(g(u - l))``.  All
-    lags ``0 <= l < width`` of the window's support (samples above
-    ``1e-17 * max|w|``) come from one batched FFT correlation of length
-    ``L >= rows + width - 1``: cost about ``width * L log L``, against
+    a correlation over rows of ``D_.(l)`` with ``g(u) conj(g(u - l))``.  Only
+    the lags ``0 <= l < width`` of the window's support (samples above
+    ``1e-17 * max|w|``) are needed: the row kernels at exactly those lags
+    come from one GEMM of the cell counts against a table of roots of unity
+    (see :func:`_row_kernels`), cost ``rows * sigma_cols * width``, and all
+    of them are correlated in one batched FFT of length
+    ``L >= rows + width - 1``, cost about ``width * L log L``, against
     ``rows * width**2`` for adding one outer-product block per row.  Each
     lower diagonal is written with its exact conjugate above, and only where
     some active row's shifted window covers both samples, so entries outside
-    that support band are exact zeros; inside it the error is absolute FFT
-    rounding, about ``1e-15 * max|M|``.  The diagonal (lag 0) is summed
+    that support band are exact zeros; inside it the error is absolute
+    rounding of the GEMM and the FFT, about ``1e-15 * max|M|``.  The diagonal (lag 0) is summed
     directly from exact cell counts, which keeps the trace on the raster
     area.  This is algebraically the column-by-column analyze -> mask ->
     synthesize composition, reorganized.
@@ -146,9 +149,10 @@ def assemble(
     The matrix is real, and stored as float64, exactly when the window
     samples have no nonzero imaginary part and the raster is mirror-symmetric
     about ``sigma = 0`` (the sigma values equal their negated reverse and the
-    weights their sigma-reverse): then every ``D_i(l)`` is real, so the lag
-    correlation runs on ``rfft``/``irfft`` and the matrix takes half the
-    storage.  The rule is exact; no tolerance on ``Im M`` enters it.
+    weights their sigma-reverse): then every ``D_i(l)`` is real, so the row
+    kernels come from a table of cosines, the lag correlation runs on
+    ``rfft``/``irfft`` and the matrix takes half the storage.  The rule is
+    exact; no tolerance on ``Im M`` enters it.
 
     ``oracle=True`` instead sums ``weight * outer(g_c, conj(g_c))`` over raster
     cells with ``g_c`` the explicitly shifted window -- the direct quadrature
@@ -191,6 +195,12 @@ def _require_matrix_budget(n: int) -> None:
 
 
 def _assemble_fast(window: Window, raster: RasterizedRegion) -> np.ndarray:
+    """The lag-by-lag assembly of :func:`assemble`: the row kernels at the
+    support's ``width`` lags only (:func:`_row_kernels`, cost
+    ``rows * sigma_cols * width``), one FFT correlation over rows for every
+    lag, the diagonal from exact cell counts, and each lower diagonal written
+    with its conjugate inside the support band.  float64 when
+    :func:`_mirror_symmetric`, complex128 otherwise."""
     grid = window.grid
     pg = raster.phase_grid
     n = grid.n
@@ -215,15 +225,12 @@ def _assemble_fast(window: Window, raster: RasterizedRegion) -> np.ndarray:
 
     # M[a, a - l] = sum_k D_k(l) P_l(a + s0 + k) with P_l(u) = g(u) conj(g(u - l)):
     # per lag l, a correlation over rows of the row kernels D_k with the lag
-    # product P_l.  D_k(l) = sum_j w_kj exp(2 pi i sigma_j l dt) is an inverse
-    # DFT along sigma, because the sigma step is one bin of the n-point DFT.
+    # product P_l
     lags = np.arange(width)
-    kernels = n * np.fft.ifft(cells, n)[:, :width]
-    kernels *= pg.cell_area * np.exp(2j * np.pi * pg.sigma_values[0] * grid.dt * lags)
+    kernels = _row_kernels(cells, pg, width, real)
     fft, ifft = np.fft.fft, np.fft.ifft
     if real:
-        # mirrored sigma terms pair into conjugates: D_k is real up to rounding
-        kernels, support = kernels.real, support.real
+        support = support.real
         fft, ifft = np.fft.rfft, np.fft.irfft
     back = lags[None, :] - lags[:, None]  # [l, v] -> v - l
     products = np.where(back >= 0, support * support.conj()[np.maximum(back, 0)], 0)
@@ -250,6 +257,41 @@ def _assemble_fast(window: Window, raster: RasterizedRegion) -> np.ndarray:
     flat[(aa - ll) * n + aa] = vals.conj()
     flat[aa * (n + 1) - ll] = vals
     return out
+
+
+def _row_kernels(
+    cells: np.ndarray, pg: PhaseGrid, width: int, real: bool
+) -> np.ndarray:
+    """Row kernels ``D_k(l) = sum_j w_kj exp(2 pi i sigma_j l dt)`` at the lags
+    ``0 <= l < width``, with ``w = cell_area * cells``: one GEMM of the cell
+    counts against a gathered root-of-unity table.
+
+    The sigma step is one bin of the n-point DFT, so the term of
+    ``sigma_j = sigma_0 + j / (n dt)`` is ``exp(2 pi i sigma_0 l dt)`` times
+    ``omega^(j l mod n)`` with ``omega = exp(2 pi i / n)``.  On a mirrored
+    sigma grid (``m`` values ``(2 j - m + 1) / (2 n dt)``, weights equal to
+    their sigma-reverse) the terms pair into conjugates and ``D_k(l)`` is the
+    real sum over ``cos(pi ((2 j - m + 1) l mod 2n) / n)``.  The exponents are
+    reduced into one period before the table lookup, so no entry is
+    evaluated at an argument past ``2 pi``.  Costs ``rows * m * width``; the
+    GEMM is scipy's ``dgemm``, on the complex table viewed as interleaved
+    real pairs.
+    """
+    n, m = pg.grid.n, cells.shape[1]
+    j, lags = np.arange(m)[:, None], np.arange(width)
+    if real:
+        table = np.cos(np.pi / n * np.arange(2 * n))[((2 * j - m + 1) * lags) % (2 * n)]
+    else:
+        table = np.exp(2j * np.pi / n * np.arange(n))[(j * lags) % n]
+    # the transposes of C-ordered operands are Fortran-ordered, so dgemm
+    # copies neither, and its Fortran-ordered product transposes back into a
+    # C-ordered (rows, width) array
+    kernels = blas.dgemm(pg.cell_area, table.view(np.float64).T, cells.T).T
+    if real:
+        return kernels
+    kernels = kernels.view(np.complex128)
+    kernels *= np.exp(2j * np.pi * pg.sigma_values[0] * pg.grid.dt * lags)
+    return kernels
 
 
 def _mirror_symmetric(window: Window, raster: RasterizedRegion) -> bool:

@@ -60,3 +60,10 @@ def random_signal(grid, rng):
     vals = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
     vals /= np.sqrt(grid.dt * np.sum(np.abs(vals) ** 2))
     return tc.Signal(grid, vals)
+
+
+def chirped(window):
+    """A complex window: ``window`` times a linear chirp ``exp(0.7 pi i t^2)``."""
+    t = window.grid.times
+    signal = tc.Signal(window.grid, window.samples * np.exp(0.7j * np.pi * t**2))
+    return tc.Window(signal, "custom", None)

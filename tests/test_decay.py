@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 import tfconc as tc
+from tfconc import decay, operators
+
+from conftest import chirped
 
 
 def test_power_law_admissible():
@@ -153,6 +156,93 @@ def test_fourier_side_gaussian_rect(gauss_window):
 def test_fourier_side_triangle_disc(tri_window):
     out = _fourier_side(tri_window, tc.Disc((0.0, 0.0), 1.0))
     assert out["max_eigenvalue_gap"] < 1e-5
+
+
+def _twin_case(case, gauss_window, tri_window):
+    """``(window, region)`` of a Fourier-twin case."""
+    centred = tc.Disc((0.0, 0.0), 1.5)
+    return {
+        "gaussian": (gauss_window, centred),
+        "triangle": (tri_window, tc.Disc((0.0, 0.0), 1.0)),
+        "chirp": (chirped(gauss_window), centred),
+        "off-centre": (gauss_window, tc.Disc((0.7, -0.4), 1.5)),
+    }[case]
+
+
+_TWIN_SPLITS = {"gaussian": True, "triangle": True, "chirp": False, "off-centre": False}
+
+
+@pytest.mark.parametrize("case", list(_TWIN_SPLITS))
+def test_fourier_twin_takes_the_real_split_path(case, gauss_window, tri_window, monkeypatch):
+    # the centred stock discs get a float64 twin folded into parity halves;
+    # a complex window or a region whose quarter turn is not mirrored in
+    # sigma keeps a complex one
+    window, region = _twin_case(case, gauss_window, tri_window)
+    spectrum = tc.eigendecompose(tc.assemble(window, region), vectors=8)
+    solved, folded = [], []
+    solve, fold = decay.eigendecompose, operators._parity_blocks
+
+    def spy_solve(op, vectors=None):
+        solved.append(op)
+        return solve(op, vectors=vectors)
+
+    def spy_fold(*args):
+        folded.append(fold(*args))
+        return folded[-1]
+
+    monkeypatch.setattr(decay, "eigendecompose", spy_solve)
+    monkeypatch.setattr(operators, "_parity_blocks", spy_fold)
+    out = tc.fourier_side_check(spectrum, region)
+    assert out["max_eigenvalue_gap"] < 1e-5
+    (twin,) = solved
+    split = _TWIN_SPLITS[case]
+    assert twin.matrix.dtype == (np.float64 if split else np.complex128)
+    assert len(folded) == split and all(blocks is not None for blocks in folded)
+
+
+def _raw_twin(window):
+    """The transform before cleaning: unit norm, rounding and all."""
+    hat = tc.fourier_transform(window.signal)
+    return tc.Window(tc.Signal(hat.grid, hat.samples / hat.norm), "custom", None)
+
+
+@pytest.mark.parametrize("case", list(_TWIN_SPLITS))
+def test_cleaned_twin_keeps_the_raw_twin_spectrum(case, gauss_window, tri_window):
+    window, region = _twin_case(case, gauss_window, tri_window)
+    turned = region.fourier_rotate()
+    spectra = [
+        tc.eigendecompose(tc.assemble(w, turned), vectors=0).eigenvalues
+        for w in (decay._twin_window(window), _raw_twin(window))
+    ]
+    assert np.max(np.abs(spectra[0][:8] - spectra[1][:8])) < 1e-13
+
+
+@pytest.mark.parametrize("case", list(_TWIN_SPLITS))
+def test_twin_zeroes_only_samples_under_the_rounding_bound(case, gauss_window, tri_window):
+    window, _ = _twin_case(case, gauss_window, tri_window)
+    grid = window.grid
+    bound = grid.n * np.finfo(np.float64).eps * grid.dt * np.abs(window.samples).sum()
+    hat = tc.fourier_transform(window.signal).samples
+    if case in ("gaussian", "triangle", "off-centre"):  # real and even
+        hat = 0.5 * (hat.real + hat.real[::-1])
+    twin = decay._twin_window(window).samples
+    zeroed = twin == 0
+    assert np.all(np.abs(hat[zeroed]) <= bound)
+    assert np.all(np.abs(hat[~zeroed]) > bound)
+    scale = np.sqrt(grid.dual.dt * np.sum(np.abs(hat[~zeroed]) ** 2))
+    assert np.allclose(twin[~zeroed], hat[~zeroed] / scale, rtol=1e-15, atol=0.0)
+    if case == "gaussian":
+        # against the exact sum (long double cosines of exactly reduced
+        # angles) the cleaned transform is off by less than the bound, so
+        # every zeroed sample is below measurement
+        n = grid.n
+        k = 2 * np.arange(n) - n + 1
+        turns = np.outer(k, k) % (4 * n)  # 2 pi t_m sigma_j = pi turns / (2n)
+        cosines = np.cos(np.pi * turns.astype(np.longdouble) / (2 * n))
+        exact = (grid.dt * (cosines @ window.samples.real.astype(np.longdouble))).astype(float)
+        assert np.max(np.abs(hat - exact)) <= 0.1 * bound
+        assert np.max(np.abs(exact[zeroed])) <= 2 * bound
+        assert zeroed.sum() > n // 2
 
 
 @pytest.fixture(scope="module")

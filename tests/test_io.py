@@ -136,3 +136,43 @@ def test_scaling_csv(tmp_path):
     assert lines[1] == "r,area,trace,sum_sq,n_lambda,n_plunge"
     fields = lines[2].split(",")
     assert fields[0] == "2" and fields[4] == "4" and fields[5] == "2"
+
+
+def _old_fmt(value) -> str:
+    """The per-value formatter the CSV writers used before they formatted
+    whole columns: the reference the writers must match byte for byte."""
+    if isinstance(value, (bool, np.bool_)):
+        return "1" if value else "0"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return format(float(value), ".17g")
+
+
+def _old_csv(columns, rows, tag):
+    lines = [f"# tfc {__version__} config={tag}", ",".join(columns)]
+    lines += [",".join(_old_fmt(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def test_csv_writers_match_the_per_value_formatter(tmp_path, rng):
+    floats = [0.0, -0.0, 1.0, -2.5, 1 / 3, 1e-300, -5e-324, 1.7976931348623157e308,
+              float("nan"), float("inf"), -float("inf"), np.float32(0.1), np.float64(2) / 3]
+    ints = [0, -1, 7, np.int64(-3), np.int32(12), 2**40, np.uint8(255), 1, 2, 3, 4, 5, 6]
+    bools = [True, False, np.True_, np.False_] * 3 + [True]
+    decay_rows = [(k, lam, c, ok) for k, lam, c, ok in zip(ints, floats, floats[::-1], bools)]
+    path = tmp_path / "decay.csv"
+    tio.write_decay_csv(path, decay_rows, tag="x")
+    assert path.read_text() == _old_csv(("k", "lambda", "C_fit", "ok"), decay_rows, "x")
+
+    lam = np.array(floats[:11], dtype=np.float64)
+    tio.write_spectrum_csv(path, lam, tag="y")
+    assert path.read_text() == _old_csv(("k", "lambda"), enumerate(lam), "y")
+
+    grid = tc.SampleGrid(5, 0.3)
+    samples = np.array([0.0, -0.0, np.nan, np.inf, -np.inf]) + 1j * rng.standard_normal(5)
+    tio.write_signal_csv(path, tc.Signal(grid, samples), tag="z")
+    rows = zip(grid.times, samples.real, samples.imag)
+    assert path.read_text() == _old_csv(("t", "re", "im"), rows, "z")
+
+    tio.write_autocorr_csv(path, [], tag="e")
+    assert path.read_text() == _old_csv(("r", "value"), [], "e")

@@ -15,7 +15,7 @@ from tfconc import operators
 from tfconc.decay import _clusters
 from tfconc.gabor import shifted_rows
 
-from conftest import random_signal
+from conftest import chirped, random_signal
 
 
 def _empty_op(grid, window):
@@ -66,7 +66,22 @@ class _Reweighted:
     seed: int = 99
 
 
+@dataclass(frozen=True)
+class _FullPeriod:
+    """``region`` rasterized on sigma rows spanning one whole FFT period of an
+    even-n grid: bins ``-n/2 .. n/2 - 1``, one more row at the Nyquist band
+    below than above, so the sigma values are not mirrored about 0."""
+
+    region: tc.Region
+
+
 def _raster(window, region):
+    if isinstance(region, _FullPeriod):
+        grid = window.grid
+        t_lo, t_hi, _, _ = region.region.bounding_box()
+        taus = tc.PhaseGrid.cover(grid, (t_lo, t_hi), (0.0, 0.0)).tau_values
+        bins = np.arange(-(grid.n // 2), grid.n - grid.n // 2)
+        return tc.rasterize(region.region, tc.PhaseGrid(grid, taus, grid.dsigma * bins))
     if isinstance(region, _Reweighted):
         raster = _raster(window, region.region)
         rng = np.random.default_rng(region.seed)
@@ -78,16 +93,13 @@ def _raster(window, region):
 
 
 def _fourier_twin(window):
-    """The unit-norm transformed window that ``fourier_side_check`` assembles."""
+    """The raw unit-norm transform of ``window``, FFT rounding and all: every
+    sample stays above the support cut, so the support is the whole grid.
+    ``fourier_side_check`` assembles a cleaned form instead (rounding cut to
+    exact zeros, an even real window's transform made exactly even and
+    real); the tests that need a full-width window keep this raw one."""
     hat = tc.fourier_transform(window.signal)
     return tc.Window(tc.Signal(hat.grid, hat.samples / hat.norm), "custom", None)
-
-
-def _chirp(window):
-    """A complex window: ``window`` times a linear chirp ``exp(0.7 pi i t^2)``."""
-    t = window.grid.times
-    chirped = tc.Signal(window.grid, window.samples * np.exp(0.7j * np.pi * t**2))
-    return tc.Window(chirped, "custom", None)
 
 
 def _two_blobs():
@@ -117,6 +129,12 @@ def _two_blobs():
         # wider than the grid in tau: rows clip at both edges, the outermost
         # rows' windows miss the grid entirely
         ("gaussian", tc.Rect(-11.5, 11.5, -0.5, 0.5)),
+        # the sweep's r = 2 operator (dt of its r = 8 grid): n = 213, width
+        # 149 > n / 2, on the real (cosine) row-kernel table
+        ("sweep", tc.Disc((0.0, 0.0), 2.0)),
+        # a sigma grid with an odd excess at the Nyquist band, weighted in
+        # every row: the complex (root-of-unity) row-kernel table
+        ("even n", _Reweighted(_FullPeriod(tc.Rect(-1.0, 1.0, -2.02, 1.95)))),
     ],
 )
 def test_blocked_assembly_matches_dense_reference(
@@ -128,13 +146,32 @@ def test_blocked_assembly_matches_dense_reference(
         cut = operators._SUPPORT_TOL * np.abs(window.samples).max()
         assert np.all(np.abs(window.samples) > cut)
     elif family == "chirp":
-        window = _chirp(gauss_window)
+        window = chirped(gauss_window)
+    elif family == "sweep":
+        dt = tc.auto_grid("gaussian", tc.Disc((0.0, 0.0), 8.0)).dt
+        window = tc.make_window("gaussian", tc.auto_grid("gaussian", region, dt=dt))
+    elif family == "even n":
+        window = tc.make_window("gaussian", tc.SampleGrid(64, 0.25))
     else:
         window = gauss_window if family == "gaussian" else tri_window
     raster = _raster(window, region)
     got = tc.assemble(window, raster).matrix
     want = _dense_reference(window, raster)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.abs(want).max()
+    if family in ("sweep", "even n"):
+        # the row-kernel table's exponents run past one period, so its
+        # lookup wraps: mod 2n on the real table, mod n on the complex one
+        n, m = window.grid.n, raster.weights.shape[1]
+        s = np.abs(window.samples)
+        kept = np.nonzero(s > operators._SUPPORT_TOL * s.max())[0]
+        width = kept[-1] + 1 - kept[0]
+        real = family == "sweep"
+        assert got.dtype == (np.float64 if real else np.complex128)
+        assert (m - 1) * (width - 1) >= (2 * n if real else n)
+        if real:
+            assert (n, width) == (213, 149)
+        else:
+            assert m == n and raster.weights[:, 0].any()
 
 
 def test_triangle_zero_outside_support_blocks(tri_window):
@@ -186,7 +223,7 @@ def test_real_matrix_for_mirror_symmetric_operators(
 
 def test_complex_matrix_otherwise(gauss_window):
     sigma_offset = _auto_op("gaussian", "disc 0 1.5 6")
-    chirp = tc.assemble(_chirp(gauss_window), tc.Disc((0.0, 0.0), 1.5))
+    chirp = tc.assemble(chirped(gauss_window), tc.Disc((0.0, 0.0), 1.5))
     reweighted = _raster(gauss_window, _Reweighted(tc.Disc((0.0, 0.0), 1.5)))
     unmirrored = tc.assemble(gauss_window, reweighted)
     # mirrored weights on a sigma grid that is not symmetric about 0
@@ -560,7 +597,7 @@ def oracle_ops(gauss_grid, gauss_window, tri_disc_op):
         "triangle": tri_disc_op,
         "tau-offset": tc.assemble(gauss_window, tc.Disc((0.7, 0.0), 2.5)),
         "off-centre": tc.assemble(gauss_window, tc.Disc((0.7, -0.4), 2.5)),
-        "chirp": tc.assemble(_chirp(gauss_window), tc.Disc((0.4, -0.3), 2.5)),
+        "chirp": tc.assemble(chirped(gauss_window), tc.Disc((0.4, -0.3), 2.5)),
         "empty": _empty_op(gauss_grid, gauss_window),
         "n=2": _tiny_op(2, [0.8, 0.3], rng),
         "n=3": _tiny_op(3, [0.9, 0.9, 0.1], rng),
@@ -681,7 +718,7 @@ def split_ops(gauss_window, tri_disc_op, oracle_ops):
         "gaussian": oracle_ops["gaussian"],
         "triangle": tri_disc_op,
         "parallelogram": tc.assemble(gauss_window, _parallelogram()),
-        "chirp": tc.assemble(_chirp(gauss_window), tc.Disc((0.0, 0.0), 2.5)),
+        "chirp": tc.assemble(chirped(gauss_window), tc.Disc((0.0, 0.0), 2.5)),
         "even n": tc.assemble(even_grid, tc.Disc((0.0, 0.0), 1.5)),
         # a cluster shared by both halves; 1 x 1 blocks
         "n=2": _centro_tiny_op([0.8], [0.3], rng),
@@ -720,7 +757,7 @@ def test_centrosymmetric_rule_is_exact(gauss_window, tri_window):
     rule = operators._centrosymmetric
     assert rule(gauss_window, centred)
     assert rule(tri_window, _raster(tri_window, tc.Disc((0.0, 0.0), 1.0)))
-    assert rule(_chirp(gauss_window), centred)
+    assert rule(chirped(gauss_window), centred)
     assert not rule(tilted, centred)
     assert not rule(gauss_window, tc.RasterizedRegion(up, centred.weights))
     assert not rule(gauss_window, tc.RasterizedRegion(late, centred.weights))
