@@ -10,7 +10,6 @@ from .errors import (
     DomainError,
     GridMismatchError,
     InvalidScaleError,
-    NormalizationError,
     NumericalError,
     TfcError,
     TruncationError,
@@ -55,7 +54,6 @@ from .operators import (
 from .hermite import hermite_samples
 from .scaling import (
     SELF_DUAL_SIGMA,
-    CustomDensity,
     GaussianDensity,
     standard_density,
     ScalingReport,
@@ -68,12 +66,10 @@ from .scaling import (
     scaling_experiment,
 )
 from .decay import (
-    CustomEnvelope,
     DecayEnvelope,
     PowerLaw,
     StretchedExp,
     decay_check,
-    envelope_admissible,
     fourier_side_check,
     hermite_benchmark,
     kernel_vanishing_check,
@@ -91,7 +87,6 @@ __all__ = [
     "CoverageError",
     "DomainError",
     "NumericalError",
-    "NormalizationError",
     "UnsupportedCaseError",
     "ConfigError",
     # grids and signals
@@ -147,7 +142,6 @@ __all__ = [
     "plunge_fit",
     "hs_error_rate",
     "GaussianDensity",
-    "CustomDensity",
     "SELF_DUAL_SIGMA",
     "standard_density",
     "autocorr_integral",
@@ -156,8 +150,6 @@ __all__ = [
     "DecayEnvelope",
     "PowerLaw",
     "StretchedExp",
-    "CustomEnvelope",
-    "envelope_admissible",
     "decay_check",
     "kernel_vanishing_check",
     "fourier_side_check",

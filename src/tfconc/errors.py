@@ -12,7 +12,6 @@ __all__ = [
     "CoverageError",
     "DomainError",
     "NumericalError",
-    "NormalizationError",
     "UnsupportedCaseError",
     "ConfigError",
 ]
@@ -52,10 +51,6 @@ class DomainError(TfcError):
 
 class NumericalError(TfcError):
     """A numerical invariant failed beyond tolerance (e.g. lost Hermitian symmetry)."""
-
-
-class NormalizationError(TfcError):
-    """A density that must integrate to one does not."""
 
 
 class UnsupportedCaseError(TfcError):

@@ -11,41 +11,9 @@ from tfconc import decay, operators
 from conftest import chirped
 
 
-def test_power_law_admissible():
-    out = tc.envelope_admissible(tc.PowerLaw(2.0))
-    assert out["ok"]
-    assert out["details"]["vanishes_at_infinity"]["ok"]
-    assert out["details"]["p_integrable"]["ok"]
-    assert out["details"]["shift_stable"]["ok"]
-
-
-def test_stretched_exp_admissible():
-    assert tc.envelope_admissible(tc.StretchedExp(1.0, 2.0))["ok"]
-
-
-def test_slow_power_law_fails_integrability():
-    # gamma^2 = (1 + s^2)^{-1/2} has a divergent integral
-    out = tc.envelope_admissible(tc.PowerLaw(0.5))
-    assert not out["ok"]
-    assert not out["details"]["p_integrable"]["ok"]
-
-
-def test_doubly_exponential_fails_shift_stability():
-    # gamma(s - s0)/gamma(s)^{1-eps} = exp(e^s (1 - eps - e^{-s0})) blows up;
-    # the envelope also dives under the float floor almost immediately
-    gamma = tc.CustomEnvelope(lambda s: np.exp(-np.exp(np.minimum(s, 100.0))))
-    out = tc.envelope_admissible(gamma)
-    assert not out["ok"]
-    assert not out["details"]["shift_stable"]["ok"]
-
-
 def test_envelope_validation():
     with pytest.raises(tc.DomainError):
         tc.StretchedExp(-1.0, 2.0)
-    with pytest.raises(tc.DomainError):
-        tc.CustomEnvelope(lambda s: 1.0 + s)  # increasing
-    with pytest.raises(tc.DomainError):
-        tc.CustomEnvelope(lambda s: -np.ones_like(s))
 
 
 def test_log_eval_matches_log():

@@ -4,11 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import dblquad, quad
 from scipy.special import erf
 
 import tfconc as tc
-from tfconc.scaling import _disc_mass
 
 # closed-form autocorrelation for the unit square with an isotropic Gaussian:
 # the integral factorizes per axis into
@@ -273,10 +272,33 @@ def test_mass_on_disc_off_centre_matches_polar_quadrature():
         d = tc.GaussianDensity(sigma=sigma)
         for x0, y0, radius in [(0.5, 0.0, 1.0), (-0.3, 0.8, 0.4), (1.2, -1.5, 2.5)]:
             x0, y0, radius = x0 * sigma, y0 * sigma, radius * sigma
-            shifted = tc.CustomDensity(lambda x, y: d(x + x0, y + y0), extent=d.extent)
-            assert d.mass_on_disc(x0, y0, radius) == pytest.approx(
-                _disc_mass(shifted, radius), abs=1e-10
-            )
+
+            def ring(theta, rho):
+                return rho * d(x0 + rho * math.cos(theta), y0 + rho * math.sin(theta))
+
+            polar, _ = dblquad(ring, 0.0, radius, 0.0, 2.0 * math.pi,
+                               epsabs=1e-13, epsrel=1e-12)
+            assert d.mass_on_disc(x0, y0, radius) == pytest.approx(polar, abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "centre",
+    [(0.3, 0.2), (1.5, -0.7), (0.6, 0.4), (0.0, 0.0), (1.2, 0.0)],
+    ids=["inside", "outside", "on-edge", "on-vertex", "on-far-vertex"],
+)
+def test_mass_on_polygon_matches_quadrature(centre):
+    # the right triangle (0, 0), (1.2, 0), (0, 0.8), integrated over x and
+    # then y below the hypotenuse; a centre on the hypotenuse or a vertex puts
+    # h = 0 on the edges through it
+    d = tc.standard_density()
+    cx, cy = centre
+    vx, vy = np.array([0.0, 1.2, 0.0]), np.array([0.0, 0.0, 0.8])
+    expect, _ = dblquad(lambda y, x: float(d(x - cx, y - cy)), 0.0, 1.2,
+                        0.0, lambda x: 0.8 * (1.0 - x / 1.2), epsabs=1e-13, epsrel=1e-12)
+    ccw = d.mass_on_polygon(vx - cx, vy - cy)
+    cw = d.mass_on_polygon(vx[::-1] - cx, vy[::-1] - cy)
+    assert ccw == pytest.approx(expect, abs=1e-12)
+    assert cw == pytest.approx(expect, abs=1e-12)
 
 
 def test_mass_on_disc_broadcasts():
@@ -295,16 +317,6 @@ def test_standard_density_is_self_dual():
     assert d.sigma == pytest.approx(tc.SELF_DUAL_SIGMA)
     for x, y in [(0.0, 0.0), (0.5, 0.25), (1.0, -1.0)]:
         assert d(x, y) == pytest.approx(math.exp(-math.pi * (x * x + y * y)), rel=1e-12)
-
-
-def test_normalization_guard():
-    d = tc.GaussianDensity(sigma=1.0)
-    bad = tc.CustomDensity(lambda x, y: 1.2 * d(x, y), extent=d.extent)
-    square = tc.Rect(0.0, 1.0, 0.0, 1.0)
-    with pytest.raises(tc.NormalizationError):
-        tc.autocorr_integral(bad, square, 2.0)
-    with pytest.raises(tc.NormalizationError):
-        tc.decay_condition_margins(bad, 1.0, 1.0, [1.0])
 
 
 def test_autocorr_frozen_oracle():
@@ -360,19 +372,30 @@ def test_autocorr_validation():
         tc.autocorr_integral(d, tc.Rect(0.0, 1.0, 0.0, 1.0), 0.0)
 
 
-def test_autocorr_sampled_path_matches_analytic():
-    # a square given as a Polygon goes through the sampled route; it should
-    # land near the exact-rectangle value at matching resolution
+def test_autocorr_square_routes_match_rect():
+    # the unit square as a polygon in either orientation and as a 4 x 5 cell
+    # mask: the same outer lattice, an exact inner mass on every route
     d = tc.standard_density()
-    square_rect = tc.Rect(0.0, 1.0, 0.0, 1.0)
-    square_poly = tc.Polygon(
-        np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    )
-    exact = tc.autocorr_integral(d, square_rect, 4.0)
-    sampled = tc.autocorr_integral(
-        d, square_poly, 4.0, eta_per_axis=32, u_per_axis=48
-    )
-    assert sampled == pytest.approx(exact, abs=0.02)
+    corners = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    tiling = tc.Mask((np.arange(4) + 0.5) / 4, (np.arange(5) + 0.5) / 5,
+                     np.ones((4, 5), dtype=bool))
+    for r in (1.0, 4.0, 16.0):
+        exact = tc.autocorr_integral(d, tc.Rect(0.0, 1.0, 0.0, 1.0), r)
+        for q in (tc.Polygon(corners), tc.Polygon(corners[::-1]), tiling):
+            assert tc.autocorr_integral(d, q, r) == pytest.approx(exact, abs=1e-12)
+
+
+def test_autocorr_l_shape_mask_matches_polygon():
+    # three cells of a 2 x 2 mask against the same L traced as a polygon
+    d = tc.standard_density()
+    mask = tc.Mask([0.25, 0.75], [0.25, 0.75], np.array([[True, True], [True, False]]))
+    poly = tc.Polygon([(0.0, 0.0), (1.0, 0.0), (1.0, 0.5), (0.5, 0.5), (0.5, 1.0),
+                       (0.0, 1.0)])
+    assert mask.area() == poly.area() == 0.75
+    for r in (2.0, 8.0):
+        assert tc.autocorr_integral(d, mask, r) == pytest.approx(
+            tc.autocorr_integral(d, poly, r), abs=1e-12
+        )
 
 
 @pytest.mark.parametrize(
@@ -403,21 +426,6 @@ def test_autocorr_disc_translation_invariant():
         assert a == pytest.approx(b, rel=1e-10)
 
 
-def test_autocorr_disc_exact_matches_sampled():
-    # the same Gaussian behind a plain callable has no mass_on_disc, so it
-    # takes the sampled route over the same outer lattice; what is left is
-    # the sampled route's own inner error (up to ~1.6e-4 on these cases)
-    d = tc.standard_density()
-    wrapped = tc.CustomDensity(d, extent=d.extent)
-    cases = [((0.0, 0.0), 0.6, 4.0), ((0.0, 0.0), 0.6, 8.0),
-             ((0.3, -0.2), 0.9, 2.0), ((0.3, -0.2), 0.9, 16.0)]
-    for center, radius, r in cases:
-        q = tc.Disc(center, radius)
-        exact = tc.autocorr_integral(d, q, r)
-        sampled = tc.autocorr_integral(wrapped, q, r)
-        assert exact == pytest.approx(sampled, abs=5e-4)
-
-
 def test_autocorr_disc_route_tests_points_once(monkeypatch):
     # structural guard: the exact disc route selects the outer lattice with
     # one contains() call and never samples the inner integral
@@ -428,24 +436,21 @@ def test_autocorr_disc_route_tests_points_once(monkeypatch):
         sizes.clear()
         tc.autocorr_integral(d, q, r)
         assert sizes == [128 * 128]
-    sizes.clear()
-    tc.autocorr_integral(d, q, 4.0, eta_per_axis=40)
-    assert sizes == [40 * 40]
 
 
-def test_autocorr_polygon_takes_sampled_route(monkeypatch):
-    sizes = _count_calls(monkeypatch, tc.Polygon)
-    triangle = tc.Polygon(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
-    eta = 24
-    tc.autocorr_integral(tc.standard_density(), triangle, 2.0, eta_per_axis=eta,
-                         u_per_axis=32)
-    assert sizes[0] == eta * eta
-    h = 1.0 / eta
-    centres = (np.arange(eta) + 0.5) * h
-    inside = int(np.sum(triangle.contains(*np.meshgrid(centres, centres, indexing="ij"))))
-    # one lattice selection, then one batch of up to 128 centres at a time
-    assert len(sizes) == 2 + math.ceil(inside / 128)
-    assert all(n > 128 for n in sizes[1:-1])
+@pytest.mark.parametrize("cls", [tc.Polygon, tc.Mask])
+def test_autocorr_exact_routes_test_points_once(monkeypatch, cls):
+    # structural guard: polygons and masks select the outer lattice with one
+    # contains() call; their inner masses are closed forms, not point tests
+    sizes = _count_calls(monkeypatch, cls)
+    regions = {
+        tc.Polygon: tc.Polygon(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])),
+        tc.Mask: tc.Mask([0.0, 0.5], [0.0, 0.5, 1.0], np.array([[1, 0, 1], [1, 1, 0]])),
+    }
+    for r in (2.0, 16.0):
+        sizes.clear()
+        tc.autocorr_integral(tc.standard_density(), regions[cls], r)
+        assert sizes == [128 * 128]
 
 
 def test_decay_condition_gaussian_tail():
@@ -453,24 +458,8 @@ def test_decay_condition_gaussian_tail():
     d = tc.standard_density()
     rows = tc.decay_condition_margins(d, 4.0, 1.0, [1.0, 2.0, 3.0])
     for row in rows:
-        assert row["tail"] == pytest.approx(math.exp(-math.pi * row["r"] ** 2), rel=1e-6)
+        assert row["tail"] == pytest.approx(math.exp(-math.pi * row["r"] ** 2), rel=1e-12)
         assert row["ok"]
-
-
-def test_decay_condition_power_law_tail():
-    # f(|u|) = (1/pi) (1 + |u|)^{-3} has unit mass and tail
-    # 2 [1/(1+r) - 1/(2 (1+r)^2)] ~ 2/r: passes p=1, fails p=2
-    f = tc.CustomDensity(
-        lambda x, y: (1.0 + np.hypot(x, y)) ** -3.0 / math.pi, extent=50.0
-    )
-    radii = [2.0, 4.0, 8.0, 16.0, 32.0]
-    rows = tc.decay_condition_margins(f, 1.0, 2.5, radii)
-    for row in rows:
-        u = 1.0 + row["r"]
-        expect = 2.0 * (1.0 / u - 0.5 / u**2)
-        assert row["tail"] == pytest.approx(expect, rel=1e-6)
-    assert all(row["ok"] for row in rows)
-    assert not all(row["ok"] for row in tc.decay_condition_margins(f, 2.0, 2.5, radii))
 
 
 def test_decay_condition_binding_radius():
