@@ -10,22 +10,22 @@ Each subcommand takes only the options it reads, from flags optionally
 backed by a ``key=value`` file whose keys are the flag spellings (flags win).
 Every artifact embeds the tool version and a hash of the command and its
 option values; ``--out`` says only where the files go and is not hashed.
-Identical configurations produce byte-identical files on the same machine
-with the same BLAS thread count; a different thread count can change the last
-digits of eigenvalues and the basis chosen inside near-degenerate eigenvalue
-clusters.
+Identical configurations produce byte-identical files on the same machine,
+whatever ``OPENBLAS_NUM_THREADS`` says: each command runs scipy's OpenBLAS on
+one thread (``tfconc._blas.one_thread``) and gives the count back on return.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import io
+from . import _blas, io
 from ._version import __version__
 from .decay import (
     ENVELOPE_EPSILON,
@@ -54,7 +54,10 @@ from .windows import Window, make_window
 __all__ = ["main"]
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The ``tfc`` parser, built once per process; each ``parse_args`` call
+    fills a fresh Namespace."""
     parser = argparse.ArgumentParser(
         prog="tfc",
         description="Time-frequency concentration operator toolkit.",
@@ -409,7 +412,8 @@ def main(argv=None) -> int:
         tag = io.config_hash({"command": args.command, **opt})
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        return run(opt, out, tag)
+        with _blas.one_thread():
+            return run(opt, out, tag)
     except NumericalError as exc:
         print(f"tfc: numerical error: {exc}", file=sys.stderr)
         return 3

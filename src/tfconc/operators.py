@@ -245,17 +245,31 @@ def _assemble_fast(window: Window, raster: RasterizedRegion) -> np.ndarray:
     corr[0] = np.convolve(counts[::-1], np.abs(support) ** 2)
 
     # keep (a, a - l) only where an active row's window covers both samples,
-    # i.e. some active k in [l - v, width - v) with v = a + s0 - first
-    v = np.arange(n) + (s0 - first)
-    cum = np.concatenate(([0], np.cumsum(active[span])))
-    k_lo = np.clip(lags[:, None] - v[None, :], 0, n_rows)
-    k_hi = np.clip(width - v, 0, n_rows)[None, :]
-    band = (np.arange(n)[None, :] >= lags[:, None]) & (cum[k_hi] > cum[k_lo])
-    ll, aa = np.nonzero(band)
-    vals = corr[ll, aa + s0 - first + n_rows - 1]
+    # i.e. some active k in [l - v, width - v) with v = a + c, c = s0 - first.
+    # The span's first and last rows are active, so lag l keeps a inside
+    # [max(l, l + 1 - n_rows - c), width - c); inactive rows inside the span
+    # leave holes there, and then column a keeps the lags 0..reach[a], with
+    # reach[a] = v + the last active row below width - v
+    c = s0 - first
+    keep = True
+    holes = not active[span].all()
+    if holes:
+        v = np.arange(n) + c
+        last = np.maximum.accumulate(np.where(active[span], np.arange(n_rows), -1))
+        reach = v + last[np.clip(width - v, 1, n_rows) - 1]
     flat = out.reshape(-1)
-    flat[(aa - ll) * n + aa] = vals.conj()
-    flat[aa * (n + 1) - ll] = vals
+    for lag in range(width):
+        lo, hi = max(lag, lag + 1 - n_rows - c), min(n, width - c)
+        if lo >= hi:
+            continue
+        vals = corr[lag, lo + c + n_rows - 1 : hi + c + n_rows - 1]
+        if holes:
+            keep = reach[lo:hi] >= lag
+        # the diagonals M[a - l, a] then M[a, a - l], a in [lo, hi): on the
+        # main diagonal the second write stands
+        up, down = lo * (n + 1) - lag * n, lo * (n + 1) - lag
+        np.copyto(flat[up : up + (hi - lo) * (n + 1) : n + 1], vals.conj(), where=keep)
+        np.copyto(flat[down : down + (hi - lo) * (n + 1) : n + 1], vals, where=keep)
     return out
 
 
@@ -376,10 +390,11 @@ def eigendecompose(
     """
     n = op.grid.n
     dt = op.grid.dt
-    tol = _HERMITIAN_TOL * max(1.0, dt * float(np.abs(op.matrix).max()))
-    herm_gap = dt * float(np.abs(op.matrix - op.matrix.conj().T).max())
-    if herm_gap > tol:
-        raise NumericalError(f"operator matrix lost Hermitian symmetry ({herm_gap:.2e})")
+    tol = _HERMITIAN_TOL * max(1.0, dt * _peak(op.matrix))
+    if not _exactly_hermitian(op.matrix):
+        herm_gap = dt * float(np.abs(op.matrix - op.matrix.conj().T).max())
+        if herm_gap > tol:
+            raise NumericalError(f"operator matrix lost Hermitian symmetry ({herm_gap:.2e})")
 
     dtype = np.complex128 if np.iscomplexobj(op.matrix) else np.float64
     halves = None
@@ -419,6 +434,24 @@ def eigendecompose(
     return Spectrum(op, vals, vecs)
 
 
+def _peak(a: np.ndarray) -> float:
+    """The largest modulus in ``a``; for a real array from its extremes, with
+    no ``|a|`` temporary."""
+    if np.iscomplexobj(a):
+        return float(np.abs(a).max())
+    return float(max(a.max(), -a.min()))
+
+
+def _exactly_hermitian(matrix: np.ndarray) -> bool:
+    """Whether ``matrix`` equals its conjugate transpose exactly, compared
+    part by part so that no complex ``n x n`` temporary is formed."""
+    if not np.iscomplexobj(matrix):
+        return np.array_equal(matrix, matrix.T)
+    return np.array_equal(matrix.real, matrix.real.T) and np.array_equal(
+        matrix.imag, -matrix.imag.T
+    )
+
+
 def _centrosymmetric(window: Window, raster: RasterizedRegion) -> bool:
     """Whether the operator commutes with the reversal ``f(t) -> f(-t)``: an
     even window on a raster symmetric under ``(tau, sigma) -> (-tau, -sigma)``,
@@ -449,16 +482,22 @@ def _parity_blocks(
     n = len(matrix)
     h, m = n // 2, n - n // 2
     flip = matrix[::-1, ::-1]
-    if dt * float(np.abs(matrix[:m] - flip[:m]).max()) > tol:
-        return None
-    diag = matrix[:h, :h] + flip[:h, :h]
-    anti = matrix[:h, ::-1][:, :h] + matrix[::-1][:h, :h]
     even = np.empty((m, m), dtype=dtype, order="F")
     odd = np.empty((h, h), dtype=dtype, order="F")
     # filled through the C-ordered transposes, see _transposed_back
     ev, ov = even.T, odd.T
-    np.add(diag, anti, out=ev[:h, :h])
-    np.subtract(diag, anti, out=ov)
+    # the gap over the top m rows, one column half at a time in the even
+    # block's buffer
+    gap = _peak(np.subtract(matrix[:m, :m], flip[:m, :m], out=ev))
+    if h:
+        gap = max(gap, _peak(np.subtract(matrix[:m, m:], flip[:m, m:], out=ev[:, :h])))
+    if dt * gap > tol:
+        return None
+    # diag = q1 + q4 in the odd block, anti = q2 + q3
+    np.add(matrix[:h, :h], flip[:h, :h], out=ov)
+    anti = matrix[:h, ::-1][:, :h] + matrix[::-1][:h, :h]
+    np.add(ov, anti, out=ev[:h, :h])
+    np.subtract(ov, anti, out=ov)
     ev[:h, :h] *= 0.5 * dt
     ov *= 0.5 * dt
     if m > h:

@@ -138,12 +138,23 @@ class Rect(Region):
 
 @dataclass(frozen=True, eq=False)
 class Polygon(Region):
+    """A polygon through ``vertices`` in order, closed from the last back to
+    the first.  No two non-adjacent edges may cross (ValueError): on a
+    crossing polygon the shoelace area and the nonzero winding rule of
+    :meth:`contains` disagree."""
+
     vertices: np.ndarray
 
     def __post_init__(self) -> None:
         verts = np.asarray(self.vertices, dtype=float)
         if verts.ndim != 2 or verts.shape[1] != 2 or len(verts) < 3:
             raise ValueError("polygon needs at least three (tau, sigma) vertices")
+        crossing = _crossing_edges(verts)
+        if crossing is not None:
+            i, j = crossing
+            raise ValueError(
+                f"polygon edge {_edge(verts, i)} crosses edge {_edge(verts, j)}"
+            )
         object.__setattr__(self, "vertices", verts)
 
     def contains(self, tau, sigma):
@@ -189,6 +200,38 @@ class Polygon(Region):
     def fourier_rotate(self):
         rotated = np.column_stack([self.vertices[:, 1], -self.vertices[:, 0]])
         return Polygon(rotated)
+
+
+def _crossing_edges(verts: np.ndarray) -> tuple[int, int] | None:
+    """The first pair ``i < j`` of edges (edge ``i`` runs from vertex ``i`` to
+    the next) whose interiors cross, each edge's ends lying strictly on
+    opposite sides of the other's line; None when there is none.  Edges that
+    share a vertex never qualify, and neither do edges that only touch.
+    Costs O(V) memory per edge, O(V^2) time."""
+    ends = np.roll(verts, -1, axis=0)
+    steps = ends - verts
+
+    def side(step, point, origin):
+        """Which side of the line along ``step`` through ``origin`` the point
+        lies on: -1, 0 or 1."""
+        rel = point - origin
+        return np.sign(step[..., 0] * rel[..., 1] - step[..., 1] * rel[..., 0])
+
+    for i in range(len(verts) - 2):
+        # the edges after i that do not share a vertex with it
+        j = np.arange(i + 2, len(verts) if i else len(verts) - 1)
+        j_straddles = side(steps[i], verts[j], verts[i]) * side(steps[i], ends[j], verts[i]) < 0
+        i_straddles = side(steps[j], verts[i], verts[j]) * side(steps[j], ends[i], verts[j]) < 0
+        hit = np.flatnonzero(j_straddles & i_straddles)
+        if hit.size:
+            return i, int(j[hit[0]])
+    return None
+
+
+def _edge(verts: np.ndarray, k: int) -> str:
+    """Edge ``k`` as its index and its two ends, for messages."""
+    (x0, y0), (x1, y1) = verts[k].tolist(), verts[(k + 1) % len(verts)].tolist()
+    return f"{k} ({x0:g}, {y0:g})-({x1:g}, {y1:g})"
 
 
 @dataclass(frozen=True, eq=False)

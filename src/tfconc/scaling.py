@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.special
 
+from . import _blas
 from .errors import (
     ConfigError,
     CoverageError,
@@ -138,7 +139,10 @@ def scaling_experiment(
     on its own grid from :func:`auto_grid` (fixed dt, auto-chosen from the
     largest scale unless given), and solves for eigenvalues only.  Scales run
     in a thread pool (the heavy lifting is in BLAS which drops the GIL) of one
-    worker per scale, at most ``TFC_THREADS`` (default: the core count).
+    worker per scale, at most ``TFC_THREADS`` (default: the core count); the
+    pool owns the cores, so while it runs scipy's OpenBLAS is held at one
+    thread (``tfconc._blas.one_thread``) and the caller's count comes back
+    after.
     ``n_lambda`` counts eigenvalues ``>= 1/2`` and ``n_plunge`` those in the
     closed ``plunge_band``, both through :func:`tfconc.operators.count`; the
     band is checked here once and travels in the report.
@@ -177,7 +181,7 @@ def scaling_experiment(
             grid_n=grid_r.n,
         )
 
-    with ThreadPoolExecutor(_max_workers(len(scales))) as pool:
+    with _blas.one_thread(), ThreadPoolExecutor(_max_workers(len(scales))) as pool:
         rows = tuple(pool.map(run, scales))
     return ScalingReport((lo, hi), rows)
 

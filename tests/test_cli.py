@@ -89,6 +89,37 @@ def test_rerun_writes_identical_artifacts(tmp_path, monkeypatch, argv):
         assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
 
+def test_artifacts_independent_of_the_blas_thread_count(tmp_path):
+    # every command runs scipy's OpenBLAS on one thread, so the count the
+    # environment asks for cannot reach the bytes: one process per count
+    src = os.path.dirname(os.path.dirname(tc.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    argv = ["spectrum", "--region", "disc 0 0 8", "--rank", "3"]
+    outs = [tmp_path / threads for threads in ("1", "2")]
+    for out in outs:
+        subprocess.run(
+            [sys.executable, "-m", "tfconc.cli", *argv, "--out", str(out)],
+            env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=out.name),
+            capture_output=True,
+            check=True,
+            timeout=300,
+        )
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    assert len(names) == 5
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+def test_options_do_not_carry_over_between_calls(tmp_path):
+    # the parser is built once per process; each call parses afresh
+    base = ["spectrum", "--region", "disc 0 0 1", "--grid", "49,0.25"]
+    assert main([*base, "--rank", "2", "--out", str(tmp_path / "ranked")]) == 0
+    assert main([*base, "--out", str(tmp_path / "plain")]) == 0
+    assert len(list((tmp_path / "ranked").glob("eigfun_*.csv"))) == 2
+    assert not list((tmp_path / "plain").glob("eigfun_*.csv"))
+
+
 def test_out_directory_leaves_the_artifacts_unchanged(tmp_path):
     # the config hash names what was computed, not where it was written
     argv = ["spectrum", "--region", "disc 0 0 1", "--grid", "49,0.25", "--rank", "3"]

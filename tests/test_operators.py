@@ -373,6 +373,26 @@ def test_spectrum_checks_shared_by_both_routes(gauss_disc_op, vectors):
             tc.eigendecompose(op, vectors=vectors)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_hermitian_check_equality_then_tolerance(gauss_disc_op, dtype):
+    # an exactly Hermitian matrix passes on equality; a rounding-sized skew
+    # fails equality and passes the tolerance; a larger skew raises
+    base = gauss_disc_op.matrix.astype(dtype)
+    assert operators._exactly_hermitian(base)
+    assert operators._peak(base) == np.abs(base).max()
+    unit = 1j if np.iscomplexobj(base) else 1.0
+    for bump, passes in ((1e-15, True), (1e-6, False)):
+        matrix = base.copy()
+        matrix[0, 1] += bump * unit
+        assert not operators._exactly_hermitian(matrix)
+        op = tc.ConcentrationOperator(gauss_disc_op.window, gauss_disc_op.raster, matrix)
+        if passes:
+            assert tc.eigendecompose(op, vectors=2).eigenvalues[0] <= 1.0 + 1e-8
+        else:
+            with pytest.raises(tc.NumericalError, match="Hermitian"):
+                tc.eigendecompose(op, vectors=2)
+
+
 def test_eigenvalues_only_route_matches(gauss_disc_op, gauss_disc_spectrum):
     spec = tc.eigendecompose(gauss_disc_op, vectors=0)
     assert spec.eigenfunctions.shape == (gauss_disc_op.grid.n, 0)

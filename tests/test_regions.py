@@ -48,6 +48,26 @@ def test_polygon_needs_three_vertices():
         tc.Polygon(np.array([[0.0, 0.0], [1.0, 0.0]]))
 
 
+def test_polygon_with_crossing_edges_refused():
+    # the bow-tie: shoelace area 0, but the winding rule puts half of [0, 1]^2 inside
+    with pytest.raises(ValueError, match=r"edge 0 \(0, 0\)-\(1, 1\) crosses edge 2"):
+        tc.Polygon(np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 0.0], [0.0, 1.0]]))
+    with pytest.raises(tc.ConfigError, match="crosses"):
+        tc.parse_region("poly 0 0 1 1 1 0 0 1")
+
+
+@pytest.mark.parametrize(
+    "text, area",
+    [
+        ("poly 0 0 1 0 0 1", 0.5),  # triangle
+        ("poly 0 0 2 0 2 1 1 1 1 2 0 2", 3.0),  # L-shape
+        ("poly 0 0 0 1 1 1 1 0", 1.0),  # clockwise square
+    ],
+)
+def test_simple_polygons_parse(text, area):
+    assert tc.parse_region(text).area() == pytest.approx(area)
+
+
 def test_scale_area_quadratic():
     square = tc.Rect(0.0, 1.0, 0.0, 1.0)
     assert square.scale(3.0).area() == pytest.approx(9.0)
