@@ -101,14 +101,17 @@ def write_signal_csv(path, signal: Signal, tag: str = "-") -> None:
     _write_columns(path, ("t", "re", "im"), data, tag)
 
 
-def _read_rows(path, header: tuple[str, str, str], convert) -> list[tuple]:
-    """Data rows of a 3-column CSV, each field passed through ``convert``.
+def _read_rows(
+    path, header: tuple[str, str, str], convert
+) -> tuple[list[tuple], list[int]]:
+    """Data rows of a 3-column CSV, each field passed through ``convert``, and
+    the (1-based) line number of each.
 
     Blank and ``#`` lines are skipped; the first other line must be
-    ``header``.  Malformed rows are reported with their (1-based) line number.
+    ``header``.  Malformed rows are reported with their line number.
     """
     expected = ",".join(header)
-    rows = []
+    rows, linenos = [], []
     saw_header = False
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -127,11 +130,12 @@ def _read_rows(path, header: tuple[str, str, str], convert) -> list[tuple]:
                 raise ConfigError(f"{path}: row {lineno}: expected 3 fields, got {len(parts)}")
             try:
                 rows.append(tuple(f(part) for f, part in zip(convert, parts)))
+                linenos.append(lineno)
             except ValueError as exc:
                 raise ConfigError(f"{path}: row {lineno}: {exc}") from exc
     if not saw_header:
         raise ConfigError(f"{path}: missing '{expected}' header")
-    return rows
+    return rows, linenos
 
 
 def read_signal_csv(path) -> Signal:
@@ -140,7 +144,7 @@ def read_signal_csv(path) -> Signal:
     The time column must be a uniform centered grid; malformed rows are
     reported with their (1-based) line number.
     """
-    rows = _read_rows(path, ("t", "re", "im"), (float, float, float))
+    rows, _ = _read_rows(path, ("t", "re", "im"), (float, float, float))
     if len(rows) < 2:
         raise ConfigError(f"{path}: need at least 2 samples, got {len(rows)}")
     t, res, ims = (np.array(col) for col in zip(*rows))
@@ -191,26 +195,33 @@ def write_autocorr_csv(path, rows, tag: str = "-") -> None:
 def read_mask_csv(path):
     """Read a ``tau,sigma,inside`` cell list into a Mask region.
 
-    The rows must enumerate a full product lattice (any order); cell flags
-    are 0/1.
+    The rows must enumerate a full product lattice (any order), each cell
+    once; cell flags are 0/1.  A repeated cell is reported with its line
+    number and that of its first row.
     """
     from .regions import Mask
 
-    rows = _read_rows(
+    rows, linenos = _read_rows(
         path, ("tau", "sigma", "inside"), (float, float, lambda v: int(float(v)))
     )
     if not rows:
         raise ConfigError(f"{path}: empty mask file")
-    taus, sigmas, flags = zip(*rows)
-    tau_axis = np.unique(np.array(taus))
-    sigma_axis = np.unique(np.array(sigmas))
-    if len(tau_axis) * len(sigma_axis) != len(flags):
+    taus, sigmas, flags = (np.array(col) for col in zip(*rows))
+    tau_axis, i = np.unique(taus, return_inverse=True)
+    sigma_axis, j = np.unique(sigmas, return_inverse=True)
+    cell = i * len(sigma_axis) + j
+    _, first, seen = np.unique(cell, return_index=True, return_inverse=True)
+    repeats = np.flatnonzero(first[seen] != np.arange(len(cell)))
+    if repeats.size:
+        k = int(repeats[0])
+        raise ConfigError(
+            f"{path}: row {linenos[k]}: cell tau={taus[k]:g}, sigma={sigmas[k]:g} "
+            f"repeats row {linenos[first[seen[k]]]}"
+        )
+    if len(tau_axis) * len(sigma_axis) != len(cell):
         raise ConfigError(
             f"{path}: rows do not enumerate a full {len(tau_axis)}x{len(sigma_axis)} lattice"
         )
-    inside = np.zeros((len(tau_axis), len(sigma_axis)), dtype=bool)
-    for t, s, f in zip(taus, sigmas, flags):
-        i = int(np.searchsorted(tau_axis, t))
-        j = int(np.searchsorted(sigma_axis, s))
-        inside[i, j] = bool(f)
-    return Mask(tau_axis, sigma_axis, inside)
+    inside = np.zeros(len(cell), dtype=bool)
+    inside[cell] = flags != 0
+    return Mask(tau_axis, sigma_axis, inside.reshape(len(tau_axis), len(sigma_axis)))

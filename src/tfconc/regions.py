@@ -30,6 +30,16 @@ __all__ = [
 ]
 
 
+#: bytes that rasterize may take at its peak: an n x n phase grid fits up to
+#: n = 4378, the auto grid's cap of 2048 with room to spare
+_RASTER_BUDGET = 1 << 30
+#: float64 cells-sized arrays live at rasterize's peak (meshgrid's two, the
+#: contains temporaries and the weights), measured with tracemalloc on
+#: 1001 x 1001 cells: 3.1 for a rect, 4.0 for a disc, 5.0 for a mask and 6.4
+#: for a polygon
+_LIVE_CELL_ARRAYS = 7
+
+
 def _check_scale(r: float) -> float:
     if not r > 0:
         raise InvalidScaleError(f"scale factor must be positive, got {r}")
@@ -338,7 +348,9 @@ def rasterize(region: Region, phase_grid: PhaseGrid) -> RasterizedRegion:
 
     Raises CoverageError when the region's bounding box sticks out of the
     grid's cell-edge extent -- silently clipping a region would corrupt every
-    downstream trace/area identity.
+    downstream trace/area identity -- and, before allocating anything
+    cells-sized, when the phase grid is too large for the raster budget (see
+    :func:`_require_raster_budget`).
     """
     t_lo, t_hi, s_lo, s_hi = region.bounding_box()
     taus = phase_grid.tau_values
@@ -356,9 +368,23 @@ def rasterize(region: Region, phase_grid: PhaseGrid) -> RasterizedRegion:
             f"exceeds phase grid tau [{taus[0]:.4g}, {taus[-1]:.4g}] x "
             f"sigma [{sigmas[0]:.4g}, {sigmas[-1]:.4g}]"
         )
+    _require_raster_budget(len(taus) * len(sigmas))
     tt, ss = np.meshgrid(taus, sigmas, indexing="ij")
     weights = np.where(region.contains(tt, ss), phase_grid.cell_area, 0.0)
     return RasterizedRegion(phase_grid, weights)
+
+
+def _require_raster_budget(cells: int) -> None:
+    """CoverageError when rasterizing ``cells`` phase-grid cells would take
+    more than 1 GiB at its peak, so an oversized grid fails fast instead of
+    exhausting memory."""
+    need = _LIVE_CELL_ARRAYS * cells * np.dtype(np.float64).itemsize
+    if need > _RASTER_BUDGET:
+        raise CoverageError(
+            f"a phase grid of {cells} cells needs {need} bytes to rasterize, "
+            f"over the budget of {_RASTER_BUDGET} bytes; coarsen dt or shrink "
+            "the region"
+        )
 
 
 def parse_region(text: str) -> Region:

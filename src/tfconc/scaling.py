@@ -248,7 +248,8 @@ def hs_error_rate(report: ScalingReport) -> dict:
 # ---------------------------------------------------------------------------
 # densities and the Lemma-style integrals
 
-#: outer lattice points per axis in autocorr_integral
+#: outer lattice points per axis in autocorr_integral's route for rects,
+#: masks and polygons (discs have a closed form and no lattice)
 _ETA = 128
 
 
@@ -256,9 +257,9 @@ _ETA = 128
 class GaussianDensity:
     """Centered isotropic Gaussian probability density on the plane.
 
-    Its masses over rectangles (``mass_on_rect``), discs (``mass_on_disc``)
-    and polygons (``mass_on_polygon``) are exact, which gives
-    ``autocorr_integral`` an exact inner integral on every region kind.
+    Its masses over rectangles (``mass_on_rect``) and polygons
+    (``mass_on_polygon``) are exact, which gives ``autocorr_integral`` an
+    exact inner integral on every lattice route; discs need no inner mass.
     """
 
     sigma: float = 1.0
@@ -281,22 +282,6 @@ class GaussianDensity:
     def mass_on_rect(self, x_lo, x_hi, y_lo, y_hi):
         """Exact integral over an axis-aligned rectangle (product of erfs)."""
         return (self._cdf(x_hi) - self._cdf(x_lo)) * (self._cdf(y_hi) - self._cdf(y_lo))
-
-    def mass_on_disc(self, x0, y0, radius):
-        """Exact integral over the disc of ``radius`` centred at ``(x0, y0)``.
-
-        For ``u`` drawn from this density, ``|u - (x0, y0)|^2 / sigma^2`` is
-        noncentral chi-squared with 2 degrees of freedom and noncentrality
-        ``(x0^2 + y0^2) / sigma^2``; the mass is its CDF at
-        ``radius^2 / sigma^2``.  Arguments broadcast together.
-        """
-        s2 = self.sigma**2
-        x0 = np.asarray(x0, dtype=float)
-        y0 = np.asarray(y0, dtype=float)
-        radius = np.asarray(radius, dtype=float)
-        return scipy.special.chndtr(
-            radius * radius / s2, 2.0, (x0 * x0 + y0 * y0) / s2
-        )
 
     def mass_on_polygon(self, x, y):
         """Exact integral over the simple polygon with vertices ``(x, y)``.
@@ -357,15 +342,23 @@ def _cells(q: Rect | Mask) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def autocorr_integral(f: GaussianDensity, q: Region, r: float) -> float:
     """``r^-2`` times the double integral of ``f(x - y)`` over ``rQ x rQ``.
 
-    Computed in the substituted form: the outer variable runs over the points
-    of a 128 x 128 midpoint lattice on ``Q``'s bounding box that lie in ``Q``,
-    and the inner integral of ``f`` over ``r(Q - eta)`` is exact at each --
-    a noncentral chi-squared CDF (``mass_on_disc``) for discs, Owen's T sum
-    (``mass_on_polygon``) for polygons, and for rectangles and masks the sum
-    of the cells' erf products, which over the lattice is ``Ax inside Ay^T``
-    with ``Ax[p, i]`` the marginal mass of cell column ``i`` seen from
-    ``eta_x[p]``.  The value can never exceed ``area(Q)`` since each inner
-    mass is at most 1.
+    For a disc of radius ``R`` the value is the closed form
+    ``pi R^2 [1 - e^-X (I0(X) + I1(X))]`` with ``X = (r R / sigma)^2``: the
+    disc's set covariogram transforms to ``(rho J1(2 pi rho |xi|) / |xi|)^2``
+    (``rho = r R``), and Weber's second exponential integral against the
+    Gaussian's transform leaves two exponentially scaled Bessel values
+    (``i0e``, ``i1e``; finite for every ``X``, unlike ``ive``).  It does not
+    depend on the centre, and for large ``r`` it approaches
+    ``area - 2 pi R sigma / (sqrt(2 pi) r)``.
+
+    Rects, masks and polygons are computed in the substituted form: the outer
+    variable runs over the points of a 128 x 128 midpoint lattice on ``Q``'s
+    bounding box that lie in ``Q``, and the inner integral of ``f`` over
+    ``r(Q - eta)`` is exact at each -- Owen's T sum (``mass_on_polygon``) for
+    polygons, and for rectangles and masks the sum of the cells' erf
+    products, which over the lattice is ``Ax inside Ay^T`` with ``Ax[p, i]``
+    the marginal mass of cell column ``i`` seen from ``eta_x[p]``.  The value
+    can never exceed ``area(Q)`` since each inner mass is at most 1.
     """
     if not r > 0:
         raise DomainError(f"scale r must be positive, got {r}")
@@ -373,6 +366,26 @@ def autocorr_integral(f: GaussianDensity, q: Region, r: float) -> float:
     if area == 0.0:
         return 0.0
 
+    if isinstance(q, Disc):
+        rho = r * q.radius / f.sigma
+        x = rho * rho  # overflows to inf, where the value is the area
+        value = area * float(1.0 - scipy.special.i0e(x) - scipy.special.i1e(x))
+        bound = area
+    else:
+        value, bound = _lattice_autocorr(f, q, r, area)
+
+    if value > bound * (1.0 + 1e-6):
+        raise NumericalError(
+            f"autocorr value {value!r} exceeds the area bound {bound!r}"
+        )
+    return value
+
+
+def _lattice_autocorr(
+    f: GaussianDensity, q: Region, r: float, area: float
+) -> tuple[float, float]:
+    """The outer-lattice route of :func:`autocorr_integral`: its value, and the
+    larger of ``area`` and the selected lattice cells' area as its bound."""
     t_lo, t_hi, s_lo, s_hi = q.bounding_box()
     hx = (t_hi - t_lo) / _ETA
     hy = (s_hi - s_lo) / _ETA
@@ -383,10 +396,7 @@ def autocorr_integral(f: GaussianDensity, q: Region, r: float) -> float:
     ex, ey = ex[inside_q], ey[inside_q]
     bound = max(area, float(np.sum(inside_q)) * hx * hy)
 
-    if isinstance(q, Disc):
-        cx, cy = q.center
-        masses = f.mass_on_disc(r * (cx - ex), r * (cy - ey), r * q.radius)
-    elif isinstance(q, Polygon):
+    if isinstance(q, Polygon):
         vx, vy = q.vertices.T
         masses = f.mass_on_polygon(r * (vx - ex[:, None]), r * (vy - ey[:, None]))
     elif isinstance(q, (Rect, Mask)):
@@ -397,13 +407,7 @@ def autocorr_integral(f: GaussianDensity, q: Region, r: float) -> float:
         masses = lattice[inside_q]
     else:
         raise UnsupportedCaseError(f"no inner mass for region {type(q).__name__}")
-    value = float(hx * hy * masses.sum())
-
-    if value > bound * (1.0 + 1e-6):
-        raise NumericalError(
-            f"autocorr value {value!r} exceeds the area bound {bound!r}"
-        )
-    return value
+    return float(hx * hy * masses.sum()), bound
 
 
 def decay_condition_margins(f: GaussianDensity, p: float, C: float, radii) -> list[dict]:

@@ -118,6 +118,42 @@ def test_mask_csv_incomplete_lattice(tmp_path):
         tio.read_mask_csv(path)
 
 
+@pytest.mark.parametrize("flag", [0, 1], ids=["agreeing", "conflicting"])
+def test_mask_csv_repeated_cell(tmp_path, flag):
+    # four rows fill a 2 x 2 row count, but (0, 0) twice leaves (1, 1) unset
+    path = tmp_path / "mask.csv"
+    path.write_text(f"tau,sigma,inside\n0,0,1\n0,0,{flag}\n0,1,1\n1,0,1\n")
+    with pytest.raises(tc.ConfigError, match="row 3: cell tau=0, sigma=0 repeats row 2"):
+        tio.read_mask_csv(path)
+
+
+def test_mask_csv_repeated_cell_exits_2(tmp_path, capsys):
+    from tfconc.cli import main
+
+    path = tmp_path / "mask.csv"
+    path.write_text("tau,sigma,inside\n0,0,1\n0,0,1\n0,1,1\n1,0,1\n")
+    argv = ["autocorr", "--region", f"mask {path}", "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert "repeats row 2" in capsys.readouterr().err
+
+
+def test_mask_csv_shuffled_lattice(tmp_path, rng):
+    taus = 0.5 * np.arange(4)
+    sigmas = 0.25 * np.arange(-2, 1)
+    inside = rng.random((4, 3)) < 0.5
+    cells = [(i, j) for i in range(4) for j in range(3)]
+    path = tmp_path / "mask.csv"
+    lines = ["tau,sigma,inside"] + [
+        f"{taus[i].item()!r},{sigmas[j].item()!r},{int(inside[i, j])}"
+        for i, j in (cells[k] for k in rng.permutation(len(cells)))
+    ]
+    path.write_text("\n".join(lines) + "\n")
+    back = tio.read_mask_csv(path)
+    assert np.array_equal(back.tau_values, taus)
+    assert np.array_equal(back.sigma_values, sigmas)
+    assert np.array_equal(back.inside, inside)
+
+
 def test_scaling_csv(tmp_path):
     row = tc.ScalingRow(
         r=2.0,

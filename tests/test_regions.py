@@ -172,6 +172,34 @@ def test_rasterize_coverage_error():
         tc.rasterize(tc.Disc((0.0, 0.0), 2.0), pg)
 
 
+def test_oversized_phase_grid_refused_before_any_array(monkeypatch):
+    from tfconc import regions
+
+    cells_max = regions._RASTER_BUDGET // (regions._LIVE_CELL_ARRAYS * 8)
+    regions._require_raster_budget(cells_max)
+    regions._require_raster_budget(2048 * 2048)  # the auto grid's cap fits
+    # the benchmark's largest raster (417 x 435 cells) is far below the budget
+    assert 100 * 417 * 435 < cells_max
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("reached past the raster budget check")
+
+    monkeypatch.setattr(np, "meshgrid", forbidden)
+    for cls in (tc.Disc, tc.Rect, tc.Polygon, tc.Mask):
+        monkeypatch.setattr(cls, "contains", forbidden)
+    n = math.isqrt(cells_max) + 1
+    pg = tc.PhaseGrid.full_cover(tc.SampleGrid(n, 0.01))
+    cells = pg.shape[0] * pg.shape[1]
+    assert cells > cells_max
+    ones = np.ones((2, 2), dtype=bool)
+    for region in (tc.Disc((0.0, 0.0), 1.0), tc.Rect(-1.0, 1.0, 0.0, 1.0), _hexagon(),
+                   tc.Mask([0.0, 0.5], [0.0, 0.5], ones)):
+        with pytest.raises(tc.CoverageError) as err:
+            tc.rasterize(region, pg)
+        assert f"{cells} cells" in str(err.value)
+        assert f"{7 * 8 * cells} bytes" in str(err.value)
+
+
 def test_mask_round_trip_region():
     taus = 0.25 * np.arange(-4, 5)
     sigmas = 0.25 * np.arange(-3, 4)

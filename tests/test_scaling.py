@@ -44,7 +44,8 @@ def _disc_autocorr(sigma, a, r):
         density = math.exp(-rho * rho / (2.0 * sigma**2)) / (2.0 * math.pi * sigma**2)
         return density * _lens(rho / r, a) * 2.0 * math.pi * rho
 
-    value, _ = quad(integrand, 0.0, min(2.0 * a * r, 40.0 * sigma), limit=200)
+    value, _ = quad(integrand, 0.0, min(2.0 * a * r, 40.0 * sigma), limit=200,
+                    epsabs=1e-14, epsrel=1e-13)
     return value
 
 
@@ -250,37 +251,6 @@ def test_gaussian_density_values():
         tc.GaussianDensity(sigma=0.0)
 
 
-def test_mass_on_disc_centred_closed_form():
-    rho = np.linspace(0.0, 5.0, 41)
-    for sigma in (1.0, 0.3, tc.SELF_DUAL_SIGMA):
-        d = tc.GaussianDensity(sigma=sigma)
-        expect = -np.expm1(-(rho**2) / (2.0 * sigma**2))
-        got = d.mass_on_disc(0.0, 0.0, rho)
-        assert np.max(np.abs(got - expect)) <= 1e-14
-
-
-def test_mass_on_disc_limits():
-    d = tc.GaussianDensity(sigma=0.5)
-    # a disc covering the whole plane holds the total mass
-    assert d.mass_on_disc(1.0, -2.0, 1e3) == pytest.approx(1.0, abs=1e-15)
-    # a unit disc 50 sigma away holds essentially nothing
-    assert 0.0 <= d.mass_on_disc(25.0, 0.0, 0.5) < 1e-200
-
-
-def test_mass_on_disc_off_centre_matches_polar_quadrature():
-    for sigma in (1.0, tc.SELF_DUAL_SIGMA):
-        d = tc.GaussianDensity(sigma=sigma)
-        for x0, y0, radius in [(0.5, 0.0, 1.0), (-0.3, 0.8, 0.4), (1.2, -1.5, 2.5)]:
-            x0, y0, radius = x0 * sigma, y0 * sigma, radius * sigma
-
-            def ring(theta, rho):
-                return rho * d(x0 + rho * math.cos(theta), y0 + rho * math.sin(theta))
-
-            polar, _ = dblquad(ring, 0.0, radius, 0.0, 2.0 * math.pi,
-                               epsabs=1e-13, epsrel=1e-12)
-            assert d.mass_on_disc(x0, y0, radius) == pytest.approx(polar, abs=1e-10)
-
-
 @pytest.mark.parametrize(
     "centre",
     [(0.3, 0.2), (1.5, -0.7), (0.6, 0.4), (0.0, 0.0), (1.2, 0.0)],
@@ -299,17 +269,6 @@ def test_mass_on_polygon_matches_quadrature(centre):
     cw = d.mass_on_polygon(vx[::-1] - cx, vy[::-1] - cy)
     assert ccw == pytest.approx(expect, abs=1e-12)
     assert cw == pytest.approx(expect, abs=1e-12)
-
-
-def test_mass_on_disc_broadcasts():
-    d = tc.standard_density()
-    x0 = np.array([[0.0], [0.5]])
-    y0 = np.array([0.0, 0.25, -1.0])
-    got = d.mass_on_disc(x0, y0, 0.75)
-    assert got.shape == (2, 3)
-    for i in range(2):
-        for j in range(3):
-            assert got[i, j] == d.mass_on_disc(x0[i, 0], y0[j], 0.75)
 
 
 def test_standard_density_is_self_dual():
@@ -405,17 +364,49 @@ def test_autocorr_l_shape_mask_matches_polygon():
         (tc.SELF_DUAL_SIGMA, (0.25, -0.4), 0.6),
         (tc.SELF_DUAL_SIGMA, (1.0, 0.5), 0.75),
         (1.0, (0.0, 0.0), 0.6),
+        (tc.SELF_DUAL_SIGMA, (0.0, 0.0), 1.3),
+        (tc.SELF_DUAL_SIGMA, (-0.2, 0.3), 1.5),
+        (0.05, (0.0, 0.0), 1.3),
     ],
 )
 def test_autocorr_disc_lens_oracle(sigma, center, radius):
-    # the exact inner mass leaves only the 128^2 outer lattice's error, which
-    # is ~1.7e-3 for radius 0.75 and shrinks with the radius
+    # the closed form against the lens-area integral, which shares no formula
+    # with it: both are exact, so only the quadrature's rounding separates them
     d = tc.GaussianDensity(sigma=sigma)
     q = tc.Disc(center, radius)
-    for r in (1.0, 2.0, 4.0, 8.0, 16.0):
+    for r in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 64.0, 256.0):
         assert tc.autocorr_integral(d, q, r) == pytest.approx(
-            _disc_autocorr(sigma, radius, r), abs=2.5e-3
+            _disc_autocorr(sigma, radius, r), rel=1e-11
         )
+
+
+def test_autocorr_disc_two_term_limit():
+    # area - value ~ 2 pi R sigma / (sqrt(2 pi) r) + O(r^-2): the boundary
+    # term of the two-term law; the next term is 1 / (8 X) relative to it,
+    # X = (r R / sigma)^2, ~1e-6 at r R / sigma ~ 385
+    d = tc.standard_density()
+    q = tc.Disc((0.0, 0.0), 1.2)
+    r = 128.0
+    assert r * q.radius / d.sigma == pytest.approx(385.0, rel=1e-3)
+    deficit = r * (q.area() - tc.autocorr_integral(d, q, r))
+    expect = 2.0 * math.pi * q.radius * d.sigma / math.sqrt(2.0 * math.pi)
+    assert deficit == pytest.approx(expect, rel=1e-5)
+
+
+def test_autocorr_disc_extremes():
+    d = tc.GaussianDensity(sigma=1.0)
+    q = tc.Disc((0.3, -0.1), 2.0)
+    area = q.area()
+    # r R / sigma = 1e6: finite (ive would give nan past ~3.3e4) and at most
+    # the area
+    far = tc.autocorr_integral(d, q, 5e5)
+    assert math.isfinite(far) and 0.0 < far <= area
+    # X overflows to inf: the whole area
+    assert tc.autocorr_integral(d, q, 1e300) == area
+    # small X: 1 - e^-X (I0 + I1) = X / 2 + O(X^2)
+    for r in (1e-9, 1e-8, 1e-7):
+        x = (r * q.radius / d.sigma) ** 2
+        assert abs(tc.autocorr_integral(d, q, r) - area * x / 2.0) <= 1e-15 * area
 
 
 def test_autocorr_disc_translation_invariant():
@@ -423,19 +414,17 @@ def test_autocorr_disc_translation_invariant():
     for r in (2.0, 8.0):
         a = tc.autocorr_integral(d, tc.Disc((0.0, 0.0), 0.7), r)
         b = tc.autocorr_integral(d, tc.Disc((-1.3, 0.45), 0.7), r)
-        assert a == pytest.approx(b, rel=1e-10)
+        assert a == b
 
 
-def test_autocorr_disc_route_tests_points_once(monkeypatch):
-    # structural guard: the exact disc route selects the outer lattice with
-    # one contains() call and never samples the inner integral
+def test_autocorr_disc_route_tests_no_points(monkeypatch):
+    # structural guard: the disc's closed form samples nothing
     sizes = _count_calls(monkeypatch, tc.Disc)
     d = tc.standard_density()
     q = tc.Disc((0.2, 0.1), 0.6)
     for r in (2.0, 16.0):
-        sizes.clear()
         tc.autocorr_integral(d, q, r)
-        assert sizes == [128 * 128]
+    assert sizes == []
 
 
 @pytest.mark.parametrize("cls", [tc.Polygon, tc.Mask])
