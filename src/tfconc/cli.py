@@ -318,8 +318,8 @@ def cmd_filter(opt: dict, out: Path, tag: str) -> int:
             "rank_splits_cluster": splits_cluster(spectrum.eigenvalues, rank),
             "input_energy": signal.norm**2,
             "output_energy": filtered.norm**2,
-            "region_energy_input": energy(signal, window, op.raster),
-            "region_energy_filtered": energy(filtered, window, op.raster),
+            "region_energy_input": energy(signal, op),
+            "region_energy_filtered": energy(filtered, op),
         },
         tag,
     )

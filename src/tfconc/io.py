@@ -196,17 +196,20 @@ def read_mask_csv(path):
     """Read a ``tau,sigma,inside`` cell list into a Mask region.
 
     The rows must enumerate a full product lattice (any order), each cell
-    once; cell flags are 0/1.  A repeated cell is reported with its line
-    number and that of its first row.
+    once; cell flags are 0 or 1, and any other flag is reported with its line
+    number.  A repeated cell is reported with its line number and that of its
+    first row.
     """
     from .regions import Mask
 
-    rows, linenos = _read_rows(
-        path, ("tau", "sigma", "inside"), (float, float, lambda v: int(float(v)))
-    )
+    rows, linenos = _read_rows(path, ("tau", "sigma", "inside"), (float, float, float))
     if not rows:
         raise ConfigError(f"{path}: empty mask file")
     taus, sigmas, flags = (np.array(col) for col in zip(*rows))
+    bad = np.flatnonzero((flags != 0) & (flags != 1))
+    if bad.size:
+        k = int(bad[0])
+        raise ConfigError(f"{path}: row {linenos[k]}: cell flag {flags[k]:g} is not 0 or 1")
     tau_axis, i = np.unique(taus, return_inverse=True)
     sigma_axis, j = np.unique(sigmas, return_inverse=True)
     cell = i * len(sigma_axis) + j
@@ -223,5 +226,5 @@ def read_mask_csv(path):
             f"{path}: rows do not enumerate a full {len(tau_axis)}x{len(sigma_axis)} lattice"
         )
     inside = np.zeros(len(cell), dtype=bool)
-    inside[cell] = flags != 0
+    inside[cell] = flags == 1
     return Mask(tau_axis, sigma_axis, inside.reshape(len(tau_axis), len(sigma_axis)))

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.linalg import blas, lapack
 
 from .errors import CoverageError, DomainError, NumericalError
-from .gabor import PhaseGrid, analyze
+from .gabor import PhaseGrid
 from .grids import SampleGrid, Signal, _require_same_grid
 from .kernels import ambiguity_table
 from .regions import RasterizedRegion, Region, rasterize
@@ -709,14 +709,29 @@ def hs_identity(spectrum: Spectrum) -> dict:
     return {"sum_sq": sum_sq, "double_integral": double_sum, "rel_gap": rel_gap}
 
 
-def energy(f: Signal, window: Window, raster: RasterizedRegion) -> float:
-    """Phase-space energy of ``f`` inside the rasterized region.
+def energy(f: Signal, op: ConcentrationOperator) -> float:
+    """Phase-space energy of ``f`` inside the operator's rasterized region.
 
-    ``sum weights * |<f, rho phi>|^2``; never exceeds ``||f||^2`` (up to
-    quadrature slack) because the full-plane energy already equals it.
+    The quadratic form ``<A f, f> = dt^2 f^H M f`` of the assembled matrix
+    ``M``, which is the Gabor-side sum ``sum weights * |<f, rho phi>|^2``
+    reordered; it lies in ``[0, ||f||^2]`` up to rounding because ``A`` is a
+    PSD contraction.  A float64 ``M`` goes through ``dsymv`` on the real and
+    imaginary parts of ``f`` (the cross terms cancel), a complex one through
+    ``zhemv``; either reads the C-ordered matrix as its Fortran-ordered
+    transpose, so nothing is copied.
     """
-    coeffs = analyze(f, window, raster.phase_grid)
-    return float(np.sum(raster.weights * np.abs(coeffs.values) ** 2))
+    _require_same_grid(f.grid, op.grid, "energy")
+    scale = op.grid.dt**2
+    x = f.samples
+    m = op.matrix
+    if not np.iscomplexobj(m):
+        re, im = x.real.copy(), x.imag.copy()
+        return float(
+            blas.ddot(re, blas.dsymv(scale, m.T, re))
+            + blas.ddot(im, blas.dsymv(scale, m.T, im))
+        )
+    # m.T is conj(M) for a Hermitian M, and x^H M x = (conj x)^H conj(M) conj(x)
+    return float(blas.zdotu(x, blas.zhemv(scale, m.T, x.conj())).real)
 
 
 def eigenfilter(f: Signal, spectrum: Spectrum, rank: int) -> Signal:

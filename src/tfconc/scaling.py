@@ -138,11 +138,15 @@ def scaling_experiment(
     :func:`tfconc.windows.make_window`.  Each scale builds that window once,
     on its own grid from :func:`auto_grid` (fixed dt, auto-chosen from the
     largest scale unless given), and solves for eigenvalues only.  Scales run
-    in a thread pool (the heavy lifting is in BLAS which drops the GIL) of one
-    worker per scale, at most ``TFC_THREADS`` (default: the core count); the
-    pool owns the cores, so while it runs scipy's OpenBLAS is held at one
-    thread (``tfconc._blas.one_thread``) and the caller's count comes back
-    after.
+    in a thread pool of one worker per scale, at most ``TFC_THREADS``
+    (default: the core count).  scipy's f2py BLAS and LAPACK wrappers hold the
+    GIL for the whole call (``dsterf`` at n = 400 takes twice as long per call
+    on each of two threads as alone, and no longer in two processes), so the
+    workers' GEMMs, reductions and eigenvalue solves run one at a time; the
+    pool overlaps only work that releases the GIL, such as numpy's
+    elementwise loops.  The pool owns the cores, so while it runs scipy's
+    OpenBLAS is held at one thread (``tfconc._blas.one_thread``) and the
+    caller's count comes back after.
     ``n_lambda`` counts eigenvalues ``>= 1/2`` and ``n_plunge`` those in the
     closed ``plunge_band``, both through :func:`tfconc.operators.count`; the
     band is checked here once and travels in the report.
@@ -251,6 +255,10 @@ def hs_error_rate(report: ScalingReport) -> dict:
 #: outer lattice points per axis in autocorr_integral's route for rects,
 #: masks and polygons (discs have a closed form and no lattice)
 _ETA = 128
+#: below this X = (r R / sigma)^2 a disc's value comes from the power series
+#: of 1 - e^-X (I0(X) + I1(X)), whose closed form cancels there; at the switch
+#: both are within 7e-13 relative of the exact value
+_DISC_SERIES_X = 2e-3
 
 
 @dataclass(frozen=True)
@@ -347,8 +355,10 @@ def autocorr_integral(f: GaussianDensity, q: Region, r: float) -> float:
     disc's set covariogram transforms to ``(rho J1(2 pi rho |xi|) / |xi|)^2``
     (``rho = r R``), and Weber's second exponential integral against the
     Gaussian's transform leaves two exponentially scaled Bessel values
-    (``i0e``, ``i1e``; finite for every ``X``, unlike ``ive``).  It does not
-    depend on the centre, and for large ``r`` it approaches
+    (``i0e``, ``i1e``; finite for every ``X``, unlike ``ive``).  Below
+    ``X = 2e-3`` the bracket cancels, so there it is the power series
+    ``X/2 - X^2/4 + 5 X^3/48 - 7 X^4/192``, positive for every ``X > 0``.
+    The value does not depend on the centre, and for large ``r`` it approaches
     ``area - 2 pi R sigma / (sqrt(2 pi) r)``.
 
     Rects, masks and polygons are computed in the substituted form: the outer
@@ -369,7 +379,12 @@ def autocorr_integral(f: GaussianDensity, q: Region, r: float) -> float:
     if isinstance(q, Disc):
         rho = r * q.radius / f.sigma
         x = rho * rho  # overflows to inf, where the value is the area
-        value = area * float(1.0 - scipy.special.i0e(x) - scipy.special.i1e(x))
+        if x < _DISC_SERIES_X:
+            # coefficients c_k = -c_(k-1) (2k - 1) / (k (k + 1)), c_1 = 1/2;
+            # the first omitted term is below 4e-13 relative here
+            value = area * x * (0.5 - x * (0.25 - x * (5 / 48 - x * 7 / 192)))
+        else:
+            value = area * float(1.0 - scipy.special.i0e(x) - scipy.special.i1e(x))
         bound = area
     else:
         value, bound = _lattice_autocorr(f, q, r, area)

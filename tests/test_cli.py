@@ -176,17 +176,21 @@ def test_oversized_explicit_grid_fails_fast(tmp_path, capsys, monkeypatch):
 
 
 def test_oversized_phase_grid_fails_fast(tmp_path, capsys, monkeypatch):
-    # n=5000 passes the matrix budget, but the disc covers 4855 x 4489 cells
+    # n=5600 passes the matrix budget, but the disc covers 5525 x 5555 cells
     # of its phase grid: exit 2 before any cells-sized array
+    from tfconc import regions
+
     def forbidden(*args, **kwargs):
         raise AssertionError("reached past the raster budget check")
 
-    monkeypatch.setattr(np, "meshgrid", forbidden)
+    monkeypatch.setattr(tc.Disc, "contains", forbidden)
     monkeypatch.setattr("tfconc.operators._assemble_fast", forbidden)
-    argv = ["spectrum", "--region", "disc 0 0 33", "--grid", "5000,0.0136"]
+    argv = ["spectrum", "--region", "disc 0 0 37", "--grid", "5600,0.0134"]
     assert main([*argv, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert "21794095 cells" in err and f"{7 * 8 * 21794095} bytes" in err
+    cells = 5525 * 5555
+    assert f"{cells} cells" in err
+    assert f"{regions._LIVE_CELL_ARRAYS * 8 * cells} bytes" in err
     assert not any(tmp_path.iterdir())
 
 

@@ -137,6 +137,24 @@ def test_mask_csv_repeated_cell_exits_2(tmp_path, capsys):
     assert "repeats row 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["0.7", "2", "-1"])
+def test_mask_csv_flag_not_0_or_1(tmp_path, flag):
+    path = tmp_path / "mask.csv"
+    path.write_text(f"tau,sigma,inside\n0,0,1\n0,1,0\n1,0,{flag}\n1,1,1.0\n")
+    with pytest.raises(tc.ConfigError, match=f"row 4: cell flag {flag} is not 0 or 1"):
+        tio.read_mask_csv(path)
+
+
+def test_mask_csv_flag_not_0_or_1_exits_2(tmp_path, capsys):
+    from tfconc.cli import main
+
+    path = tmp_path / "mask.csv"
+    path.write_text("tau,sigma,inside\n0,0,1\n0,1,0.7\n1,0,2\n1,1,-1\n")
+    argv = ["autocorr", "--region", f"mask {path}", "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert "row 3: cell flag 0.7 is not 0 or 1" in capsys.readouterr().err
+
+
 def test_mask_csv_shuffled_lattice(tmp_path, rng):
     taus = 0.5 * np.arange(4)
     sigmas = 0.25 * np.arange(-2, 1)

@@ -13,7 +13,7 @@ from scipy.special import gammainc
 import tfconc as tc
 from tfconc import operators
 from tfconc.decay import _clusters
-from tfconc.gabor import shifted_rows
+from tfconc.gabor import analyze, shifted_rows
 
 from conftest import chirped, random_signal
 
@@ -468,20 +468,62 @@ def test_hs_identity_empty(gauss_grid, gauss_window):
 def test_energy_empty(gauss_grid, gauss_window, rng):
     op = _empty_op(gauss_grid, gauss_window)
     f = random_signal(gauss_grid, rng)
-    assert tc.energy(f, gauss_window, op.raster) == 0.0
+    assert tc.energy(f, op) == 0.0
 
 
-def test_energy_of_top_eigenfunction(gauss_disc_op, gauss_disc_spectrum, gauss_window):
+def test_energy_of_top_eigenfunction(gauss_disc_op, gauss_disc_spectrum):
     psi1 = gauss_disc_spectrum.eigenfunction(0)
-    e = tc.energy(psi1, gauss_window, gauss_disc_op.raster)
+    e = tc.energy(psi1, gauss_disc_op)
     assert e == pytest.approx(gauss_disc_spectrum.eigenvalues[0], abs=1e-6)
 
 
-def test_energy_bounded(gauss_disc_op, gauss_window, rng):
+def test_energy_bounded(gauss_disc_op, rng):
     for _ in range(15):
         f = random_signal(gauss_disc_op.grid, rng)
-        e = tc.energy(f, gauss_window, gauss_disc_op.raster)
+        e = tc.energy(f, gauss_disc_op)
         assert 0.0 <= e <= 1.0 + 1e-8
+
+
+def _emptied_rows_op(window):
+    """A centred disc's raster with a run of shift rows and one more row
+    emptied, so the active rows have holes."""
+    pg = tc.PhaseGrid.cover(window.grid, (-1.5, 1.5), (-1.5, 1.5))
+    weights = tc.rasterize(tc.Disc((0.0, 0.0), 1.5), pg).weights.copy()
+    weights[5:9] = 0.0
+    weights[15] = 0.0
+    return tc.assemble(window, tc.RasterizedRegion(pg, weights))
+
+
+@pytest.mark.parametrize(
+    "case, dtype",
+    [
+        ("centred disc", np.float64),
+        ("offset disc", np.complex128),
+        ("chirped window", np.complex128),
+        ("triangle window", np.float64),
+        ("emptied rows", np.float64),
+    ],
+)
+def test_energy_matches_gabor_analysis(case, dtype, gauss_disc_op, gauss_window, tri_disc_op, rng):
+    op = {
+        "centred disc": lambda: gauss_disc_op,
+        "offset disc": lambda: tc.assemble(gauss_window, tc.Disc((0.0, 0.7), 1.2)),
+        "chirped window": lambda: tc.assemble(chirped(gauss_window), tc.Disc((0.0, 0.0), 1.5)),
+        "triangle window": lambda: tri_disc_op,
+        "emptied rows": lambda: _emptied_rows_op(gauss_window),
+    }[case]()
+    assert op.matrix.dtype == dtype
+    for _ in range(3):
+        f = random_signal(op.grid, rng)
+        coeffs = analyze(f, op.window, op.phase_grid)
+        expected = float(np.sum(op.raster.weights * np.abs(coeffs.values) ** 2))
+        assert tc.energy(f, op) == pytest.approx(expected, rel=1e-12)
+
+
+def test_energy_grid_mismatch(gauss_disc_op, rng):
+    f = random_signal(tc.SampleGrid(gauss_disc_op.grid.n + 1, gauss_disc_op.grid.dt), rng)
+    with pytest.raises(tc.GridMismatchError):
+        tc.energy(f, gauss_disc_op)
 
 
 def test_eigenfilter_full_rank(gauss_grid, gauss_disc_spectrum, rng):

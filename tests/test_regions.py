@@ -165,6 +165,52 @@ def test_rasterize_refinement():
     assert errors[2] < 0.05
 
 
+def _raster_cases():
+    """Every region kind, centred and off-centre, with a phase grid covering it."""
+    g = tc.SampleGrid(96, 0.07)
+    pg = tc.PhaseGrid.cover(g, (-2.0, 2.0), (-2.0, 2.0))
+    mask_inside = np.random.default_rng(3).random((9, 7)) < 0.5
+    mask = tc.Mask(0.13 * np.arange(9) - 0.4, 0.11 * np.arange(7) + 0.2, mask_inside)
+    triangle = tc.Polygon(np.array([[-0.3, -0.8], [1.1, 0.2], [0.1, 1.3]]))
+    regions = [
+        tc.Disc((0.0, 0.0), 1.5),
+        tc.Disc((0.31, -0.42), 1.17),
+        tc.Rect(-0.95, 1.05, -0.45, 0.55),
+        tc.Rect(-0.613, 1.27, 0.083, 1.61),
+        tc.Rect(0.5, 0.5, -1.0, 1.0),
+        _hexagon(),
+        triangle,
+        mask,
+    ]
+    return pg, regions
+
+
+def test_rasterize_matches_meshgrid_predicate():
+    pg, regions = _raster_cases()
+    tt, ss = np.meshgrid(pg.tau_values, pg.sigma_values, indexing="ij")
+    for region in regions:
+        expected = np.where(region.contains(tt, ss), pg.cell_area, 0.0)
+        assert np.array_equal(tc.rasterize(region, pg).weights, expected), region
+
+
+def test_rasterize_passes_axes_not_cell_arrays(monkeypatch):
+    pg, regions = _raster_cases()
+    cells = pg.shape[0] * pg.shape[1]
+    sizes = []
+    for cls in (tc.Disc, tc.Rect, tc.Polygon, tc.Mask):
+        original = cls.contains
+
+        def spy(self, tau, sigma, original=original):
+            sizes.append((np.size(tau), np.size(sigma)))
+            return original(self, tau, sigma)
+
+        monkeypatch.setattr(cls, "contains", spy)
+    for region in regions:
+        tc.rasterize(region, pg)
+    assert sizes == [pg.shape] * len(regions)
+    assert max(max(s) for s in sizes) < cells
+
+
 def test_rasterize_coverage_error():
     g = tc.SampleGrid(64, 0.1)
     pg = tc.PhaseGrid.cover(g, (-1.0, 1.0), (-1.0, 1.0))
@@ -184,7 +230,6 @@ def test_oversized_phase_grid_refused_before_any_array(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("reached past the raster budget check")
 
-    monkeypatch.setattr(np, "meshgrid", forbidden)
     for cls in (tc.Disc, tc.Rect, tc.Polygon, tc.Mask):
         monkeypatch.setattr(cls, "contains", forbidden)
     n = math.isqrt(cells_max) + 1
@@ -197,7 +242,7 @@ def test_oversized_phase_grid_refused_before_any_array(monkeypatch):
         with pytest.raises(tc.CoverageError) as err:
             tc.rasterize(region, pg)
         assert f"{cells} cells" in str(err.value)
-        assert f"{7 * 8 * cells} bytes" in str(err.value)
+        assert f"{regions._LIVE_CELL_ARRAYS * 8 * cells} bytes" in str(err.value)
 
 
 def test_mask_round_trip_region():

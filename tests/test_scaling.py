@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
-from scipy.special import erf
+from scipy.special import erf, i0e, i1e
 
 import tfconc as tc
 
@@ -407,6 +407,44 @@ def test_autocorr_disc_extremes():
     for r in (1e-9, 1e-8, 1e-7):
         x = (r * q.radius / d.sigma) ** 2
         assert abs(tc.autocorr_integral(d, q, r) - area * x / 2.0) <= 1e-15 * area
+
+
+def _disc_bracket_series(x):
+    """``1 - e^-X (I0(X) + I1(X))`` by its power series summed until the terms
+    stop counting: ``c_1 = 1/2``, ``c_k = -c_(k-1) (2k - 1) / (k (k + 1))``."""
+    term, total, k = 0.5 * x, 0.0, 1
+    while total + term != total:
+        total += term
+        k += 1
+        term *= -x * (2 * k - 1) / (k * (k + 1))
+    return total
+
+
+def test_autocorr_disc_small_scales():
+    from tfconc import scaling
+
+    d = tc.GaussianDensity(sigma=1.0)
+    q = tc.Disc((0.0, 0.0), 2.0)
+    area = q.area()
+
+    def value_and_x(r):
+        return tc.autocorr_integral(d, q, r), (r * q.radius / d.sigma) ** 2
+
+    # r R / sigma = 1e-9, where the closed form alone went negative
+    assert tc.autocorr_integral(d, q, 0.5e-9) > 0.0
+    for r in np.geomspace(5e-7, 5e-4, 7):  # X from 1e-12 to 1e-6
+        value, x = value_and_x(r)
+        assert value == pytest.approx(area * (x / 2 - x**2 / 4 + 5 * x**3 / 48), rel=1e-12)
+    # either side of the switch, both branches against the summed series
+    switch = scaling._DISC_SERIES_X
+    for r in np.geomspace(0.25, 4.0, 41) * math.sqrt(switch) * d.sigma / q.radius:
+        value, x = value_and_x(r)
+        assert value == pytest.approx(area * _disc_bracket_series(x), rel=1e-12)
+    # and the two branches at the switch itself
+    below, x = value_and_x(math.sqrt(switch) * d.sigma / q.radius * (1.0 - 1e-12))
+    assert x < switch
+    closed = area * (1.0 - i0e(switch) - i1e(switch))
+    assert below == pytest.approx(closed, rel=1e-11)
 
 
 def test_autocorr_disc_translation_invariant():
