@@ -1,12 +1,14 @@
 """The thread count of scipy's OpenBLAS, the one BLAS on the operator path.
 
-Every ``tfc`` command, and the scaling sweep's thread pool, runs its
-BLAS/LAPACK calls on the calling thread (:func:`one_thread`).  At the sizes
-the commands meet, a second BLAS thread did not pay on a 2-core host, and
-its idle helper spun on the other core: one ``operators`` benchmark pass
-burned about twice its wall time in CPU.  One thread also makes the
-artifacts independent of ``OPENBLAS_NUM_THREADS``.  Library callers outside
-those two places keep whatever count they set.
+Every ``tfc`` command runs its BLAS/LAPACK calls on the calling thread
+(:func:`one_thread`, entered by ``tfconc.cli.main`` and nowhere else).  At
+the sizes the commands meet, a second BLAS thread did not pay on a 2-core
+host, and its idle helper spun on the other core: one ``operators``
+benchmark pass burned about twice its wall time in CPU.  One thread also
+makes the artifacts independent of ``OPENBLAS_NUM_THREADS``.  Library
+callers keep whatever count they set.  The count is process-wide, so the
+pin is shared and locked: concurrent ``main`` calls in one process keep one
+thread until the last of them returns.
 """
 
 from __future__ import annotations

@@ -13,6 +13,8 @@ option values; ``--out`` says only where the files go and is not hashed.
 Identical configurations produce byte-identical files on the same machine,
 whatever ``OPENBLAS_NUM_THREADS`` says: each command runs scipy's OpenBLAS on
 one thread (``tfconc._blas.one_thread``) and gives the count back on return.
+:func:`main` is the only place in the package that sets the BLAS thread count;
+every command, the scaling sweep included, runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -190,10 +192,12 @@ def _window_for(opt: dict, region: Region) -> Window:
 
 
 def cmd_spectrum(opt: dict, out: Path, tag: str) -> int:
+    if opt["rank"] < 0:
+        raise ConfigError(f"spectrum needs --rank >= 0, got {opt['rank']}")
     region = parse_region(opt["region"])
     window = _window_for(opt, region)
     op = assemble(window, region)
-    rank = max(0, min(opt["rank"], window.grid.n))
+    rank = min(opt["rank"], window.grid.n)
     spectrum = eigendecompose(op, vectors=rank)
 
     io.write_spectrum_csv(out / "spectrum.csv", spectrum.eigenvalues, tag)

@@ -10,16 +10,12 @@ discretization error stays comparable and fits measure geometry, not the grid.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.special
 
-from . import _blas
 from .errors import (
-    ConfigError,
     CoverageError,
     DomainError,
     NumericalError,
@@ -46,17 +42,6 @@ __all__ = [
 
 #: dense eigensolves beyond this order are a design non-goal
 _N_CAP = 2048
-
-
-def _max_workers(n_jobs: int) -> int:
-    cap = os.environ.get("TFC_THREADS")
-    try:
-        limit = int(cap) if cap else (os.cpu_count() or 1)
-    except ValueError:
-        limit = 0
-    if limit < 1:
-        raise ConfigError(f"TFC_THREADS must be an integer >= 1, got {cap!r}")
-    return max(1, min(limit, n_jobs))
 
 
 def _halfwidths(region: Region) -> tuple[float, float]:
@@ -138,15 +123,10 @@ def scaling_experiment(
     :func:`tfconc.windows.make_window`.  Each scale builds that window once,
     on its own grid from :func:`auto_grid` (fixed dt, auto-chosen from the
     largest scale unless given), and solves for eigenvalues only.  Scales run
-    in a thread pool of one worker per scale, at most ``TFC_THREADS``
-    (default: the core count).  scipy's f2py BLAS and LAPACK wrappers hold the
-    GIL for the whole call (``dsterf`` at n = 400 takes twice as long per call
-    on each of two threads as alone, and no longer in two processes), so the
-    workers' GEMMs, reductions and eigenvalue solves run one at a time; the
-    pool overlaps only work that releases the GIL, such as numpy's
-    elementwise loops.  The pool owns the cores, so while it runs scipy's
-    OpenBLAS is held at one thread (``tfconc._blas.one_thread``) and the
-    caller's count comes back after.
+    one after another, in ascending order, on the calling thread, with
+    whatever BLAS thread count the caller has set.  Threads would not overlap
+    the scales: scipy's f2py BLAS and LAPACK wrappers hold the GIL for the
+    whole call, so GEMMs, reductions and eigenvalue solves run one at a time.
     ``n_lambda`` counts eigenvalues ``>= 1/2`` and ``n_plunge`` those in the
     closed ``plunge_band``, both through :func:`tfconc.operators.count`; the
     band is checked here once and travels in the report.
@@ -185,9 +165,7 @@ def scaling_experiment(
             grid_n=grid_r.n,
         )
 
-    with _blas.one_thread(), ThreadPoolExecutor(_max_workers(len(scales))) as pool:
-        rows = tuple(pool.map(run, scales))
-    return ScalingReport((lo, hi), rows)
+    return ScalingReport((lo, hi), tuple(run(r) for r in scales))
 
 
 def _fit_loglog(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
@@ -265,9 +243,11 @@ _DISC_SERIES_X = 2e-3
 class GaussianDensity:
     """Centered isotropic Gaussian probability density on the plane.
 
-    Its masses over rectangles (``mass_on_rect``) and polygons
+    Its marginal distribution function (``_cdf``) and its polygon masses
     (``mass_on_polygon``) are exact, which gives ``autocorr_integral`` an
-    exact inner integral on every lattice route; discs need no inner mass.
+    exact inner integral on every lattice route -- erf differences for
+    rectangles and masks, Owen's T sums for polygons; discs need no inner
+    mass.
     """
 
     sigma: float = 1.0
@@ -286,10 +266,6 @@ class GaussianDensity:
         """Marginal distribution function along either axis."""
         root2 = math.sqrt(2.0) * self.sigma
         return 0.5 * (1.0 + scipy.special.erf(np.asarray(z) / root2))
-
-    def mass_on_rect(self, x_lo, x_hi, y_lo, y_hi):
-        """Exact integral over an axis-aligned rectangle (product of erfs)."""
-        return (self._cdf(x_hi) - self._cdf(x_lo)) * (self._cdf(y_hi) - self._cdf(y_lo))
 
     def mass_on_polygon(self, x, y):
         """Exact integral over the simple polygon with vertices ``(x, y)``.

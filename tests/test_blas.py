@@ -1,5 +1,6 @@
-"""The one-BLAS-thread policy: ``tfc`` commands and the sweep's pool run
-scipy's OpenBLAS on one thread and give the caller's count back.
+"""The one-BLAS-thread policy: ``tfc`` commands run scipy's OpenBLAS on one
+thread, on the calling thread, and give the caller's count back; library
+calls keep the caller's count.
 
 Each test sets at most two BLAS threads on a process that already has them.
 """
@@ -80,21 +81,28 @@ def _spy(monkeypatch, module, seen):
 
 
 @needs_handle
-def test_sweep_workers_run_on_one_blas_thread(monkeypatch, two_threads):
-    monkeypatch.setenv("TFC_THREADS", "2")
+def test_a_library_sweep_keeps_the_callers_count(monkeypatch, two_threads):
     seen = []
     _spy(monkeypatch, scaling, seen)
     report = scaling.scaling_experiment("gaussian", tc.Disc((0.0, 0.0), 0.5), [1.0, 1.5, 2.0])
     assert len(report.rows) == 3
-    assert [threads for threads, _ in seen] == [1, 1, 1]
-    assert threading.get_ident() not in {ident for _, ident in seen}
+    assert seen == [(2, threading.get_ident())] * 3
     assert HANDLE.get() == 2
 
 
 @needs_handle
-def test_a_command_runs_on_one_blas_thread(monkeypatch, tmp_path, two_threads):
+@pytest.mark.parametrize(
+    "argv, solves",
+    [
+        (["decay", "--region", "disc 0 0 1"], 1),
+        (["asymptotics", "--region", "disc 0 0 1", "--scales", "1,1.5,2"], 3),
+    ],
+    ids=["decay", "asymptotics"],
+)
+def test_a_command_runs_on_one_blas_thread(monkeypatch, tmp_path, two_threads, argv, solves):
     seen = []
     _spy(monkeypatch, cli, seen)
-    assert cli.main(["decay", "--region", "disc 0 0 1", "--out", str(tmp_path)]) == 0
-    assert [threads for threads, _ in seen] == [1]
+    _spy(monkeypatch, scaling, seen)
+    assert cli.main([*argv, "--out", str(tmp_path)]) == 0
+    assert seen == [(1, threading.get_ident())] * solves
     assert HANDLE.get() == 2

