@@ -25,8 +25,7 @@ from .grids import (
     tf_shift,
 )
 from .windows import Window, make_window
-from .gabor import GaborCoefficients, PhaseGrid, analyze, synthesize
-from .kernels import ambiguity, ambiguity_table, kernel, project
+from .gabor import GaborCoefficients, PhaseGrid, ambiguity_table, analyze, synthesize
 from .regions import (
     Disc,
     Mask,
@@ -105,11 +104,7 @@ __all__ = [
     "GaborCoefficients",
     "analyze",
     "synthesize",
-    # kernels
-    "ambiguity",
     "ambiguity_table",
-    "kernel",
-    "project",
     # regions
     "Region",
     "Disc",

@@ -332,6 +332,9 @@ def cmd_filter(opt: dict, out: Path, tag: str) -> int:
 
 
 def cmd_autocorr(opt: dict, out: Path, tag: str) -> int:
+    if (opt["p"] is None) != (opt["c"] is None):
+        missing = "--p" if opt["p"] is None else "--C"
+        raise ConfigError(f"the decay condition needs both --p and --C; {missing} is missing")
     q = parse_region(opt["region"])
     scales = _parse_scales(opt["scales"])
     density = standard_density()
@@ -344,7 +347,7 @@ def cmd_autocorr(opt: dict, out: Path, tag: str) -> int:
         "sigma": density.sigma,
         "values": [{"r": r, "value": v} for r, v in rows],
     }
-    if opt["p"] is not None and opt["c"] is not None:
+    if opt["p"] is not None:
         margins = decay_condition_margins(density, opt["p"], opt["c"], scales)
         report["decay_condition"] = {
             "p": opt["p"],

@@ -27,6 +27,7 @@ from .operators import (
     eigendecompose,
 )
 from .regions import Disc, Region, region_label
+from .scaling import _fit_line
 from .windows import Window
 
 __all__ = [
@@ -158,7 +159,7 @@ def decay_check(
     tail = centers >= s_hi / 10.0
     if np.sum(tail) < 3:
         tail = np.ones_like(centers, dtype=bool)
-    slope = float(np.polyfit(np.log(centers[tail]), maxima[tail], 1)[0])
+    slope = _fit_line(np.log(centers[tail]), maxima[tail])[0]
     return {"ok": bool(slope <= 0.1), "C_fit": c_fit, "flag": None}
 
 
@@ -432,10 +433,7 @@ def hermite_benchmark(spectrum: Spectrum, region: Region) -> dict:
         raise DomainError(
             "eigenvalue tail too short to fit; enlarge the disc or refine dt"
         )
-    y = np.log(lam[tail])
-    slope, intercept = np.polyfit(tail.astype(float), y, 1)
-    resid = y - (slope * tail + intercept)
-    r2 = 1.0 - float(np.sum(resid**2)) / float(np.sum((y - y.mean()) ** 2))
+    slope, _, r2 = _fit_line(tail.astype(float), np.log(lam[tail]))
 
     n_s, n_e = tail[0], tail[-1]
     beaten = {
@@ -444,7 +442,7 @@ def hermite_benchmark(spectrum: Spectrum, region: Region) -> dict:
     return {
         "overlaps": np.array(overlaps),
         "cluster_sizes": [len(cl) for cl in clusters],
-        "decay_slope": float(slope),
+        "decay_slope": slope,
         "r2": r2,
         "fit_range": (int(n_s), int(n_e)),
         "polynomial_beaten": beaten,

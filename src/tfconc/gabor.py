@@ -3,7 +3,8 @@
 The lattice is critically tied to the sample grid: shift step = ``dt``,
 modulation step = ``1/(n*dt)``.  Analysis is one FFT per shift row, synthesis
 is the adjoint sum, and both carry the symmetric half-phase so that
-coefficients transform cleanly under Fourier rotation of phase space.
+coefficients transform cleanly under Fourier rotation of phase space.  The
+window's ambiguity function is its analysis by itself, conjugated.
 """
 
 from __future__ import annotations
@@ -23,7 +24,14 @@ from .grids import (
 )
 from .windows import Window
 
-__all__ = ["PhaseGrid", "GaborCoefficients", "analyze", "synthesize", "shifted_rows"]
+__all__ = [
+    "PhaseGrid",
+    "GaborCoefficients",
+    "analyze",
+    "synthesize",
+    "shifted_rows",
+    "ambiguity_table",
+]
 
 
 def _uniform_step(values: np.ndarray, what: str) -> float:
@@ -202,6 +210,39 @@ def analyze(f: Signal, window: Window, phase_grid: PhaseGrid) -> GaborCoefficien
     spec = _forward_sum(rows.conj() * f.samples, grid, sigmas[0], len(sigmas))
     spec *= np.exp(-1j * np.pi * np.outer(phase_grid.tau_values, sigmas))
     return GaborCoefficients(phase_grid, spec)
+
+
+def ambiguity_table(
+    window: Window, tau_values: np.ndarray, sigma_values: np.ndarray
+) -> np.ndarray:
+    """The window's ambiguity function ``H(tau, sigma) = <rho(tau, sigma) phi, phi>``
+    on a product lattice.
+
+    On one FFT period of sigma rows this is ``conj(analyze(phi, phi, pg))``
+    over the phase grid ``pg`` of the same nodes, by the same shifted rows and
+    forward sum.  ``tau_values`` must be grid-aligned; ``sigma_values`` must
+    be uniform with step ``dsigma`` but may span more than one FFT period: the
+    table is computed in chunks of at most ``n`` bins, each with its own
+    offset, so no aliasing is hidden.
+    """
+    grid = window.grid
+    taus = np.asarray(tau_values, dtype=float)
+    sigmas = np.asarray(sigma_values, dtype=float)
+    if len(sigmas) > 1:
+        steps = np.diff(sigmas)
+        if not np.allclose(steps, grid.dsigma, rtol=1e-9):
+            raise ValueError("sigma values must step by 1/(n dt)")
+    phi = window.samples
+    rows = shifted_rows(phi, np.array([grid.shift_index(tau) for tau in taus], dtype=int))
+    # H(tau, s) = e^{pi i tau s} * conj( dt sum conj(v) e^{-2 pi i s t} ),
+    # v = phi(. + tau) conj(phi)
+    v_conj = (rows * phi.conj()).conj()
+    out = np.empty((len(taus), len(sigmas)), dtype=np.complex128)
+    for start in range(0, len(sigmas), grid.n):
+        stop = min(start + grid.n, len(sigmas))
+        out[:, start:stop] = _forward_sum(v_conj, grid, sigmas[start], stop - start).conj()
+    out *= np.exp(1j * np.pi * np.outer(taus, sigmas))
+    return out
 
 
 def synthesize(coeffs: GaborCoefficients, window: Window) -> Signal:

@@ -12,12 +12,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import blas, lapack
+from scipy.linalg import blas, eigvalsh, lapack
 
 from .errors import CoverageError, DomainError, NumericalError
-from .gabor import PhaseGrid
+from .gabor import PhaseGrid, ambiguity_table
 from .grids import SampleGrid, Signal, _require_same_grid
-from .kernels import ambiguity_table
 from .regions import RasterizedRegion, Region, rasterize
 from .windows import Window
 
@@ -683,7 +682,6 @@ def hs_identity(spectrum: Spectrum) -> dict:
     is returned.
     """
     op = spectrum.operator
-    pg = op.phase_grid
     weights = op.raster.weights
     n_tau, n_sigma = weights.shape
     # zero-padded to the full lag range, so the circular correlation does not
@@ -693,11 +691,7 @@ def hs_identity(spectrum: Spectrum) -> dict:
     pair_weights = np.roll(
         np.fft.irfft2(spec * spec.conj(), shape), (n_tau - 1, n_sigma - 1), axis=(0, 1)
     )
-
-    dtaus = pg.dtau * np.arange(-(n_tau - 1), n_tau)
-    dsigmas = pg.dsigma * np.arange(-(n_sigma - 1), n_sigma)
-    table = ambiguity_table(op.window, dtaus, dsigmas)
-    double_sum = float(np.sum(pair_weights * np.abs(table) ** 2))
+    double_sum = float(np.sum(pair_weights * np.abs(_lag_table(op)) ** 2))
     sum_sq = float(np.sum(spectrum.eigenvalues**2))
     rel_gap = abs(sum_sq - double_sum) / max(double_sum, 1e-300)
     tol = np.finfo(np.float64).eps * (op.grid.n + op.raster.cell_count)
@@ -707,6 +701,16 @@ def hs_identity(spectrum: Spectrum) -> dict:
             f"ambiguity route {double_sum!r} (rel gap {rel_gap:.3e} > {tol:.1e})"
         )
     return {"sum_sq": sum_sq, "double_integral": double_sum, "rel_gap": rel_gap}
+
+
+def _lag_table(op: ConcentrationOperator) -> np.ndarray:
+    """The window's ambiguity function at every difference of two raster
+    cells: lag ``(k, l)`` cells sits at ``[k + n_tau - 1, l + n_sigma - 1]``."""
+    pg = op.phase_grid
+    n_tau, n_sigma = op.raster.weights.shape
+    dtaus = pg.dtau * np.arange(-(n_tau - 1), n_tau)
+    dsigmas = pg.dsigma * np.arange(-(n_sigma - 1), n_sigma)
+    return ambiguity_table(op.window, dtaus, dsigmas)
 
 
 def energy(f: Signal, op: ConcentrationOperator) -> float:
@@ -767,10 +771,7 @@ def phase_space_matrix(op: ConcentrationOperator) -> np.ndarray:
     pg = op.phase_grid
     ii, jj = np.nonzero(op.raster.mask)
     n_tau, n_sigma = op.raster.mask.shape
-    dtaus = pg.dtau * np.arange(-(n_tau - 1), n_tau)
-    dsigmas = pg.dsigma * np.arange(-(n_sigma - 1), n_sigma)
-    table = ambiguity_table(op.window, dtaus, dsigmas)
-
+    table = _lag_table(op)
     taus = pg.tau_values[ii]
     sigmas = pg.sigma_values[jj]
     di = (ii[:, None] - ii[None, :]) + (n_tau - 1)
@@ -786,4 +787,4 @@ def phase_space_eigenvalues(op: ConcentrationOperator) -> np.ndarray:
     """Descending eigenvalues of :func:`phase_space_matrix`."""
     b = phase_space_matrix(op)
     b = 0.5 * (b + b.conj().T)
-    return np.linalg.eigvalsh(b)[::-1]
+    return eigvalsh(b)[::-1]

@@ -168,14 +168,16 @@ def scaling_experiment(
     return ScalingReport((lo, hi), tuple(run(r) for r in scales))
 
 
-def _fit_loglog(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
-    """OLS fit of log y against log x; returns (slope, intercept, r2)."""
-    lx = np.log(xs)
-    ly = np.log(ys)
-    slope, intercept = np.polyfit(lx, ly, 1)
-    resid = ly - (slope * lx + intercept)
+def _fit_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+    """Least-squares line through ``(x, y)``; returns (slope, intercept, r2).
+
+    A flat ``y`` has no variance to explain: r2 is then 1 if the residuals
+    vanish as well, else 0, rather than 0/0.
+    """
+    slope, intercept = np.polyfit(x, y, 1)
+    resid = y - (slope * x + intercept)
     ss_res = float(np.sum(resid**2))
-    ss_tot = float(np.sum((ly - ly.mean()) ** 2))
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
     if ss_tot < 1e-30:
         r2 = 1.0 if ss_res < 1e-30 else 0.0
     else:
@@ -200,7 +202,7 @@ def plunge_fit(report: ScalingReport) -> dict:
             counts.append(row.n_plunge)
     if len(rs) < 2:
         raise DomainError("plunge fit underdetermined: fewer than 2 usable rows")
-    slope, intercept, r2 = _fit_loglog(np.array(rs), np.array(counts, dtype=float))
+    slope, intercept, r2 = _fit_line(np.log(rs), np.log(counts))
     return {"slope": slope, "intercept": intercept, "r2": r2, "rows_used": len(rs)}
 
 
@@ -223,7 +225,7 @@ def hs_error_rate(report: ScalingReport) -> dict:
     if len(rs) < 2:
         return {"rate": float("nan"), "r2": float("nan"), "rows_used": 0,
                 "flag": "degenerate"}
-    slope, _, r2 = _fit_loglog(np.array(rs), np.array(deficits))
+    slope, _, r2 = _fit_line(np.log(rs), np.log(deficits))
     return {"rate": slope, "r2": r2, "rows_used": len(rs), "flag": None}
 
 

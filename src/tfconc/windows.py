@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfcinv
 
 from .errors import DegenerateWindowError, TruncationError, UnsupportedCaseError
 from .grids import SampleGrid, Signal
@@ -23,8 +22,8 @@ __all__ = ["Window", "make_window"]
 _TAIL_BUDGET = 1e-12
 
 #: sqrt(2C) * r at which a Gaussian's squared tail mass erfc(sqrt(2C) r)
-#: drops to the budget
-_GAUSS_TAIL_X = float(erfcinv(_TAIL_BUDGET))
+#: drops to the budget: erfcinv(1e-12), as scipy.special computes it
+_GAUSS_TAIL_X = 5.042029745639059
 
 
 @dataclass(frozen=True, eq=False)

@@ -415,6 +415,21 @@ def test_src_has_no_numpy_matrix_products():
     assert hits == []
 
 
+def test_src_has_no_numpy_linalg_calls():
+    # one LAPACK library in src/: every factorization and eigensolve goes
+    # through scipy.linalg, none through numpy's bundled copy
+    hits = [
+        f"{name}:{node.lineno}"
+        for name, tree in _src_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr == "linalg"
+        and isinstance(node.value, ast.Name)
+        and node.value.id in ("np", "numpy")
+    ]
+    assert hits == []
+
+
 def test_src_has_no_worker_pools_or_environment_knobs():
     # scipy's BLAS/LAPACK wrappers hold the GIL, so a pool of threads or
     # processes buys nothing on the operator path; every setting is a flag or
@@ -596,6 +611,14 @@ def test_autocorr_decay_condition(tmp_path):
     report = _read_json(tmp_path / "autocorr_report.json")
     assert report["decay_condition"]["ok"] is True
     assert len(report["decay_condition"]["margins"]) == 4
+
+
+@pytest.mark.parametrize("given, missing", [("--p", "--C"), ("--C", "--p")])
+def test_autocorr_refuses_half_a_decay_condition(tmp_path, capsys, given, missing):
+    rc = main(["autocorr", "--scales", "2", given, "1", "--out", str(tmp_path)])
+    assert rc == 2
+    assert f"{missing} is missing" in capsys.readouterr().err
+    assert not (tmp_path / "autocorr_report.json").exists()
 
 
 def test_config_file_with_flag_override(tmp_path):

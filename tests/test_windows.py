@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import erfcinv
 
 import tfconc as tc
+from tfconc import windows
 
 
 def test_triangle_normalization(tri_window):
@@ -96,6 +98,11 @@ def test_essential_radius(gauss_window, tri_window):
     r = gauss_window.essential_radius
     # squared mass outside r must be below the 1e-12 budget
     assert math.erfc(math.sqrt(2.0 * math.pi) * r) <= 1e-12 * 1.0000001
+
+
+def test_gauss_tail_x_is_erfcinv_of_the_budget():
+    # a literal in windows.py, so the window module needs no scipy.special
+    assert windows._GAUSS_TAIL_X == erfcinv(1e-12)
 
 
 def test_custom_window_has_no_stock_radii():
