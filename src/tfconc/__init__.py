@@ -65,10 +65,7 @@ from .scaling import (
     scaling_experiment,
 )
 from .decay import (
-    DecayEnvelope,
-    PowerLaw,
-    StretchedExp,
-    decay_check,
+    majorant_check,
     fourier_side_check,
     hermite_benchmark,
     kernel_vanishing_check,
@@ -142,10 +139,7 @@ __all__ = [
     "autocorr_integral",
     "decay_condition_margins",
     # decay
-    "DecayEnvelope",
-    "PowerLaw",
-    "StretchedExp",
-    "decay_check",
+    "majorant_check",
     "kernel_vanishing_check",
     "fourier_side_check",
     "hermite_benchmark",

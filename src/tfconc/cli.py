@@ -30,12 +30,11 @@ import numpy as np
 from . import _blas, io
 from ._version import __version__
 from .decay import (
-    ENVELOPE_EPSILON,
     decay_columns,
-    envelope_checks,
     fourier_side_check,
     hermite_benchmark,
     kernel_vanishing_check,
+    majorant_check,
     splits_cluster,
 )
 from .errors import ConfigError, NumericalError, TfcError, UnsupportedCaseError
@@ -261,7 +260,8 @@ def cmd_decay(opt: dict, out: Path, tag: str) -> int:
 
     vanish = kernel_vanishing_check(window, op)
     vanish_status = "skipped" if vanish is None else ("pass" if vanish else "fail")
-    rows = envelope_checks(spectrum, region)
+    ratios = majorant_check(spectrum)
+    rows = [(k, float(spectrum.clamped[k]), *map(float, r)) for k, r in enumerate(ratios)]
     fourier = fourier_side_check(spectrum, region)
 
     io.write_decay_csv(out / "decay.csv", rows, tag)
@@ -270,8 +270,9 @@ def cmd_decay(opt: dict, out: Path, tag: str) -> int:
         "region": region_label(region),
         "kernel_vanishing": vanish_status,
         "fourier_side": fourier,
-        "epsilon": ENVELOPE_EPSILON,
         "rows": len(rows),
+        "max_time_ratio": float(ratios[:, 0].max(initial=0.0)),
+        "max_freq_ratio": float(ratios[:, 1].max(initial=0.0)),
     }
 
     try:
@@ -296,7 +297,9 @@ def cmd_decay(opt: dict, out: Path, tag: str) -> int:
     io.write_json(out / "decay_report.json", report, tag)
     print(
         f"decay: kernel vanishing {vanish_status}, "
-        f"fourier gap {fourier['max_eigenvalue_gap']:.2e}, {len(rows)} envelope rows"
+        f"fourier gap {fourier['max_eigenvalue_gap']:.2e}, {len(rows)} majorant rows, "
+        f"largest ratio {report['max_time_ratio']:.3f} (time) "
+        f"{report['max_freq_ratio']:.3f} (frequency)"
     )
     return 0
 
@@ -361,7 +364,10 @@ def cmd_autocorr(opt: dict, out: Path, tag: str) -> int:
 
 
 _WINDOW = ("window", str, "gaussian:pi", "gaussian:<c|pi> | triangle | custom:<csv>")
-_REGION_HELP = "disc cx cy r | rect t0 t1 s0 s1 | poly ... | mask <csv>"
+_REGION_HELP = (
+    "disc cx cy r | rect t0 t1 s0 s1 | poly ... | mask <csv>, in (tau, sigma); "
+    "a region at tau concentrates signals at time -tau"
+)
 _REGION = ("region", str, "disc 0 0 1.5", _REGION_HELP)
 _GRID = ("grid", str, "auto", "auto | N,dt")
 

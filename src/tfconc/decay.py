@@ -1,23 +1,27 @@
-"""Eigenfunction regularity: decay envelopes, support checks, and the two
-classical benchmarks (Fourier covariance, Gaussian/disc Hermite case).
+"""Eigenfunction regularity: the eigen-equation's own decay majorant, support
+checks, and the two classical benchmarks (Fourier covariance, Gaussian/disc
+Hermite case).
 
-An envelope is a positive nonincreasing majorant with a closed-form
-logarithm.  Eigenfunction decay is checked against ``gamma^(1-eps)`` using
-log-binned maxima, which ride over the oscillatory zeros that make pointwise
-ratios meaningless.
+A unit-norm eigenfunction ``f = A f / lambda`` of the operator
+``A = sum_c w_c <., g_c> g_c`` (``g_c`` the window shifted to raster cell
+``c``) is a combination of shifted windows with coefficients
+``|<f, g_c>| <= 1``, hence ``|f(t)| <= sum_tau p(tau) |g(t + tau)| / lambda``
+and ``|f_hat(xi)| <= sum_sigma q(sigma) |g_hat(xi - sigma)| / lambda``, with
+``p`` and ``q`` the raster's tau- and sigma-profiles.  The second says that
+``f_hat`` decays at least as fast as ``g_hat``: the eigenfunctions are at
+least as smooth as the window.  This holds for every window and region, with
+no fitted exponent; :func:`majorant_check` evaluates both sides on the grid.
 """
 
 from __future__ import annotations
 
 import math
-from abc import ABC, abstractmethod
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import blas, lapack
 
-from .errors import DomainError, UnsupportedCaseError
-from .grids import Signal, fourier_transform, inverse_fourier_transform
+from .errors import DomainError, NumericalError, UnsupportedCaseError
+from .grids import Signal, _forward_sum, fourier_transform, inverse_fourier_transform
 from .hermite import hermite_samples
 from .operators import (
     ConcentrationOperator,
@@ -31,136 +35,95 @@ from .scaling import _fit_line
 from .windows import Window
 
 __all__ = [
-    "DecayEnvelope",
-    "PowerLaw",
-    "StretchedExp",
-    "decay_check",
+    "majorant_check",
     "kernel_vanishing_check",
     "fourier_side_check",
     "hermite_benchmark",
 ]
 
-#: amplitudes below this are treated as numerically zero when checking decay
+#: kernel amplitudes below this are treated as numerically zero
 _MEASURE_FLOOR = 1e-14
 #: leading eigenvalues the Fourier-side check compares
 _FOURIER_LEADING = 8
 #: leading eigenvalue clusters the Hermite benchmark compares
 _HERMITE_CLUSTERS = 6
-#: ``tfc decay`` checks the envelope of at most this many leading
-#: eigenfunctions, each with an eigenvalue above ``_ENVELOPE_FLOOR``
-_ENVELOPE_ROWS = 16
-_ENVELOPE_FLOOR = 1e-4
+#: ``tfc decay`` checks the majorant of at most this many leading
+#: eigenfunctions, each with an eigenvalue above ``_MAJORANT_LAMBDA``
+_MAJORANT_ROWS = 16
+_MAJORANT_LAMBDA = 1e-4
+#: samples below this fraction of their side's peak are left out of the
+#: majorant ratios: there the eigenvector's own rounding dominates
+_MAJORANT_FLOOR = 1e-12
 #: neighbouring eigenvalues closer than this belong to one cluster
 _CLUSTER_GAP = 1e-6
-#: slack exponent of ``tfc decay``'s envelope checks
-ENVELOPE_EPSILON = 0.1
 
 
-class DecayEnvelope(ABC):
-    """Positive nonincreasing majorant on ``[0, infinity)``."""
+def majorant_check(spectrum: Spectrum, count: int | None = None) -> np.ndarray:
+    """The largest ratio ``lambda |psi| / B`` of each of the leading
+    ``count`` eigenfunctions to its majorant ``B`` (see the module
+    docstring): a ``(count, 2)`` array, time side then frequency side;
+    NumericalError when one exceeds 1.  ``count`` defaults to ``tfc
+    decay``'s rows, the leading 16 at most with eigenvalues above 1e-4.
 
-    @abstractmethod
-    def __call__(self, s):
-        ...
-
-    @abstractmethod
-    def log_eval(self, s):
-        """``log(gamma(s))`` in closed form, free of underflow."""
-
-    def _validate(self) -> None:
-        s = np.concatenate([[0.0], np.logspace(-2.0, 8.0, 201)])
-        v = np.asarray(self(s), dtype=float)
-        if v[0] <= 0 or np.any(v < 0):
-            raise DomainError("envelope must be positive (underflow to 0 aside)")
-        if np.any(np.diff(v) > 1e-12 * np.maximum(v[:-1], 1e-300)):
-            raise DomainError("envelope must be nonincreasing")
-
-
-@dataclass(frozen=True)
-class PowerLaw(DecayEnvelope):
-    """``(1 + s^2)^(-q/2)``."""
-
-    q: float
-
-    def __post_init__(self) -> None:
-        self._validate()
-
-    def __call__(self, s):
-        s = np.asarray(s, dtype=float)
-        return (1.0 + s * s) ** (-self.q / 2.0)
-
-    def log_eval(self, s):
-        s = np.asarray(s, dtype=float)
-        return -(self.q / 2.0) * np.log1p(s * s)
-
-
-@dataclass(frozen=True)
-class StretchedExp(DecayEnvelope):
-    """``exp(-kappa s^q)``."""
-
-    kappa: float
-    q: float
-
-    def __post_init__(self) -> None:
-        if self.kappa <= 0 or self.q <= 0:
-            raise DomainError("kappa and q must be positive")
-        self._validate()
-
-    def __call__(self, s):
-        s = np.asarray(s, dtype=float)
-        return np.exp(-self.kappa * s**self.q)
-
-    def log_eval(self, s):
-        s = np.asarray(s, dtype=float)
-        return -self.kappa * s**self.q
-
-
-def decay_check(
-    psi: Signal,
-    gamma: DecayEnvelope,
-    epsilon: float = ENVELOPE_EPSILON,
-    t_min: float = 1.0,
-) -> dict:
-    """Check ``|psi(t)| <= C gamma(|t|)^(1-epsilon)`` beyond ``t_min``.
-
-    Returns the fitted constant (max ratio) and an ok verdict: the log-binned
-    ratio maxima must not trend upward over the last decade of ``|t|``.
-    Samples under 1e-14 are below measurement and ignored; if nothing beyond
-    ``t_min`` is measurable the check passes vacuously, flagged as such.
+    Both majorants are built once per operator, ``s_i`` the shift of raster
+    row ``i``.  Time: ``sum_i p_i |g[m + s_i]|``, zero off the grid, which
+    the clipped shifted windows satisfy exactly.  Frequency: ``q``
+    cyclically correlated with ``|g_hat|`` over the sigma bins (its modulus
+    has period ``1 / dt``), plus ``sum_i p_i dt`` times the ``|g|`` mass row
+    ``i`` pushes off the grid, which bounds what clipping changes in a
+    shifted window's transform.  Rounding adds ``n eps / sqrt(dt)`` per time
+    sample for the eigensolver's residual (at most ``n eps`` in norm), and
+    ``n eps (area dt sum |g| + 2 sqrt(n dt))`` per frequency sample for that
+    residual and the forward sums (``eps`` the float64 unit roundoff).  The
+    eigenfunctions are transformed in one batched forward sum.  Samples
+    under 1e-12 of their side's peak are left out: there the eigenvector's
+    own rounding dominates.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise DomainError(f"epsilon must be in (0, 1), got {epsilon}")
-    if t_min <= 0:
-        raise DomainError(f"t_min must be positive, got {t_min}")
-    s = np.abs(psi.grid.times)
-    vals = np.abs(psi.samples)
-    meas = (s >= t_min) & (vals >= _MEASURE_FLOOR)
-    if not np.any(meas):
-        return {"ok": True, "C_fit": 0.0, "flag": "vacuous"}
-    s = s[meas]
-    log_ratio = np.log(vals[meas]) - (1.0 - epsilon) * gamma.log_eval(s)
-    c_fit = float(np.exp(np.max(log_ratio)))
+    if count is None:
+        count = _majorant_rows(spectrum.eigenvalues)
+    lam = spectrum.eigenvalues[:count, None]
+    vecs = spectrum.leading(count).T
+    op = spectrum.operator
+    grid, pg, raster = op.grid, op.phase_grid, op.raster
+    n, dt, eps = grid.n, grid.dt, np.finfo(np.float64).eps
+    g = np.abs(op.window.samples)
+    p, q = raster.weights.sum(axis=1), raster.weights.sum(axis=0)
+    shifts = pg.shift_indices
 
-    s_lo, s_hi = float(s.min()), float(s.max())
-    if s_hi / s_lo < 1.2:
-        # too narrow a shell to measure a trend; the constant is all there is
-        return {"ok": True, "C_fit": c_fit, "flag": "narrow"}
-    n_bins = max(3, int(math.ceil(8.0 * math.log10(s_hi / s_lo))))
-    edges = np.logspace(math.log10(s_lo), math.log10(s_hi) + 1e-12, n_bins + 1)
-    which = np.clip(np.searchsorted(edges, s, side="right") - 1, 0, n_bins - 1)
-    centers, maxima = [], []
-    for b in range(n_bins):
-        hit = which == b
-        if np.any(hit):
-            centers.append(math.sqrt(edges[b] * edges[b + 1]))
-            maxima.append(float(np.max(log_ratio[hit])))
-    centers = np.array(centers)
-    maxima = np.array(maxima)
-    tail = centers >= s_hi / 10.0
-    if np.sum(tail) < 3:
-        tail = np.ones_like(centers, dtype=bool)
-    slope = _fit_line(np.log(centers[tail]), maxima[tail])[0]
-    return {"ok": bool(slope <= 0.1), "C_fit": c_fit, "flag": None}
+    # |g| at the sample indices s_0 .. s_last + n - 1, zero off the grid
+    u = np.arange(shifts[0], shifts[-1] + n)
+    reach = np.where((u >= 0) & (u < n), g[np.clip(u, 0, n - 1)], 0.0)
+    time_bound = np.correlate(reach, p, "valid") + n * eps / math.sqrt(dt)
+
+    # |g_hat| at xi_k - sigma_j = xi_0 - sigma_last + (k + cols - 1 - j) dsigma
+    start = grid.dual.t_start - pg.sigma_values[-1]
+    hat = np.abs(_forward_sum(op.window.samples, grid, start, n))
+    left, right = (np.concatenate([[0.0], np.cumsum(a)]) for a in (g, g[::-1]))
+    pushed = np.where(shifts > 0, left[np.clip(shifts, 0, n)], right[np.clip(-shifts, 0, n)])
+    slack = dt * float(np.sum(p * pushed))
+    slack += n * eps * (raster.area * dt * float(g.sum()) + 2.0 * math.sqrt(n * dt))
+    freq_bound = np.convolve(np.concatenate([hat, hat[: len(q) - 1]]), q, "valid") + slack
+
+    scaled = lam * np.abs(vecs), lam * np.abs(_forward_sum(vecs, grid, grid.dual.t_start, n))
+    ratios = np.column_stack([_largest_ratio(*s) for s in zip(scaled, (time_bound, freq_bound))])
+    over = np.argwhere(ratios > 1.0)
+    if len(over):
+        k, side = over[0]
+        raise NumericalError(
+            f"eigenfunction {k} exceeds its {('time', 'frequency')[side]} majorant "
+            f"by a factor {ratios[k, side]:.3e}"
+        )
+    return ratios
+
+
+def _largest_ratio(scaled: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """Per row of ``scaled``, its largest ratio to ``bound`` over the samples
+    at or above 1e-12 of the row's peak; infinite where such a sample meets a
+    zero bound."""
+    kept = scaled >= _MAJORANT_FLOOR * scaled.max(axis=1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(kept, scaled / bound, 0.0)
+    return ratio.max(axis=1)
 
 
 def kernel_vanishing_check(window: Window, op: ConcentrationOperator) -> bool | None:
@@ -228,54 +191,20 @@ def _end(clusters: list[range]) -> int:
     return max((cl.stop for cl in clusters), default=0)
 
 
-def _envelope_rows(eigenvalues: np.ndarray) -> int:
-    """How many leading eigenfunctions get an envelope check in ``tfc decay``."""
-    return min(_ENVELOPE_ROWS, int(np.count_nonzero(eigenvalues > _ENVELOPE_FLOOR)))
-
-
-def _envelope_rule(window: Window, region: Region):
-    """``(side, envelope, t_min)`` of ``tfc decay``'s envelope checks for the
-    window's family: the side of each eigenfunction where its decay is
-    nontrivial, the envelope it must stay under and where the check starts;
-    None for a custom window, which gets no envelope check."""
-    t_lo, t_hi, s_lo, s_hi = region.bounding_box()
-    if window.family == "gaussian":
-        t_min = max(abs(t_lo), abs(t_hi)) + window.essential_radius + 1.0
-        return (lambda psi: psi), StretchedExp(window.parameter, 2.0), t_min
-    if window.family == "triangle":
-        # time side is compactly supported; the frequency side carries the
-        # actual decay content (Fejer-type squared-sinc tail)
-        return fourier_transform, PowerLaw(1.9), max(abs(s_lo), abs(s_hi)) + 2.0
-    return None
-
-
-def envelope_checks(spectrum: Spectrum, region: Region) -> list[tuple]:
-    """``tfc decay``'s rows ``(k, lambda_k, C_fit, ok)``: a
-    :func:`decay_check` of each leading eigenfunction on the side, under the
-    envelope and beyond the ``t_min`` its window family calls for."""
-    rule = _envelope_rule(spectrum.operator.window, region)
-    if rule is None:
-        return []
-    side, gamma, t_min = rule
-    rows = []
-    for k in range(_envelope_rows(spectrum.eigenvalues)):
-        res = decay_check(side(spectrum.eigenfunction(k)), gamma, t_min=t_min)
-        rows.append((k, float(spectrum.clamped[k]), res["C_fit"], res["ok"]))
-    return rows
+def _majorant_rows(eigenvalues: np.ndarray) -> int:
+    """How many leading eigenfunctions get a majorant row in ``tfc decay``."""
+    return min(_MAJORANT_ROWS, int(np.count_nonzero(eigenvalues > _MAJORANT_LAMBDA)))
 
 
 def decay_columns(window: Window, region: Region):
     """The leading eigenfunction count ``tfc decay`` reads, as a function of
     the descending eigenvalues (the ``vectors`` of :func:`eigendecompose`):
-    the rows of :func:`envelope_checks`, the Fourier-side clusters and, where
+    the rows of :func:`majorant_check`, the Fourier-side clusters and, where
     the Hermite benchmark applies to ``window`` and ``region``, its clusters."""
-    envelope = _envelope_rule(window, region) is not None
     hermite = _hermite_unsupported(window, region) is None
 
     def columns(eigenvalues: np.ndarray) -> int:
-        need = _end(_fourier_clusters(eigenvalues))
-        if envelope:
-            need = max(need, _envelope_rows(eigenvalues))
+        need = max(_end(_fourier_clusters(eigenvalues)), _majorant_rows(eigenvalues))
         return max(need, _end(_hermite_clusters(eigenvalues))) if hermite else need
 
     return columns

@@ -175,8 +175,8 @@ def write_scaling_csv(path, report, tag: str = "-") -> None:
 
 
 def write_decay_csv(path, rows, tag: str = "-") -> None:
-    """Rows of (k, lambda, C_fit, ok)."""
-    write_csv(path, ("k", "lambda", "C_fit", "ok"), rows, tag)
+    """Rows of (k, lambda, time_ratio, freq_ratio)."""
+    write_csv(path, ("k", "lambda", "time_ratio", "freq_ratio"), rows, tag)
 
 
 def write_hermite_csv(path, rows, tag: str = "-") -> None:

@@ -393,7 +393,12 @@ def _require_raster_budget(cells: int) -> None:
 
 def parse_region(text: str) -> Region:
     """Parse the config syntax: ``disc cx cy r`` | ``rect t0 t1 s0 s1`` |
-    ``poly x1 y1 ...`` | ``mask <csv-path>``."""
+    ``poly x1 y1 ...`` | ``mask <csv-path>``.
+
+    Coordinates are ``(tau, sigma)`` of :func:`tfconc.grids.tf_shift`, which
+    shifts ``f(t + tau)``: a region at ``tau`` concentrates signals at time
+    ``-tau`` (and frequency ``+sigma``).
+    """
     from .errors import ConfigError
 
     parts = text.split()

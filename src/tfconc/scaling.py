@@ -172,14 +172,18 @@ def _fit_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     """Least-squares line through ``(x, y)``; returns (slope, intercept, r2).
 
     A flat ``y`` has no variance to explain: r2 is then 1 if the residuals
-    vanish as well, else 0, rather than 0/0.
+    vanish as well, else 0, rather than 0/0.  Both are judged against the
+    rounding of a least-squares fit, ``(m * eps)^2 * sum y^2`` for ``m``
+    points (``eps`` the float64 unit roundoff), so a constant series is a
+    perfect fit whatever its length and size.
     """
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     ss_res = float(np.sum(resid**2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
-    if ss_tot < 1e-30:
-        r2 = 1.0 if ss_res < 1e-30 else 0.0
+    rounding = (len(y) * np.finfo(np.float64).eps) ** 2 * float(np.sum(y**2))
+    if ss_tot <= rounding:
+        r2 = 1.0 if ss_res <= rounding else 0.0
     else:
         r2 = 1.0 - ss_res / ss_tot
     return float(slope), float(intercept), r2

@@ -213,15 +213,15 @@ def test_criterion_10_compact_support(tri_grid, tri_disc_op, tri_disc_spectrum):
             tail_mass, tri_grid.dt * float(np.sum(np.abs(psi.samples[outside]) ** 2))
         )
 
-    hat = tc.fourier_transform(tri_disc_spectrum.eigenfunction(0))
-    envelope = tc.decay_check(hat, tc.PowerLaw(1.9), 0.1, 3.0)
-    ok = kernel_leak < 1e-14 and tail_mass < 1e-10 and envelope["ok"]
+    significant = int(np.count_nonzero(tri_disc_spectrum.eigenvalues > 1e-4))
+    ratio = float(tc.majorant_check(tri_disc_spectrum, significant).max())
+    ok = kernel_leak < 1e-14 and tail_mass < 1e-10 and ratio <= 1.0
     _check(
         10,
         "compact support chain",
         ok,
         f"kernel leak {kernel_leak:.2e}, tail mass {tail_mass:.2e}, "
-        f"envelope C {envelope['C_fit']:.4f}",
+        f"largest majorant ratio {ratio:.4f}",
     )
 
 

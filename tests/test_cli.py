@@ -77,6 +77,7 @@ def test_spectrum_deterministic_rerun(tmp_path):
         ["autocorr", "--region", "disc 0.1 -0.2 0.6", "--scales", "2,8",
          "--p", "1", "--C", "2.5"],
         ["spectrum", "--region", "disc 0 0 1", "--grid", "49,0.25", "--rank", "3"],
+        ["decay", "--window", "triangle", "--region", "disc 0 0 1"],
     ],
 )
 def test_rerun_writes_identical_artifacts(tmp_path, monkeypatch, argv):
@@ -250,11 +251,21 @@ def test_decay_triangle(tmp_path):
     report = _read_json(tmp_path / "decay_report.json")
     assert report["kernel_vanishing"] == "pass"
     assert report["fourier_side"]["max_eigenvalue_gap"] < 1e-5
-    lines = (tmp_path / "decay.csv").read_text().splitlines()
-    assert lines[1] == "k,lambda,C_fit,ok"
-    assert len(lines) > 2
-    # every recorded envelope verdict is a pass
-    assert all(line.split(",")[3] == "1" for line in lines[2:])
+    _assert_majorant_rows(tmp_path)
+
+
+def _assert_majorant_rows(out):
+    """``decay.csv`` holds majorant rows, every ratio in ``(0, 1]``, and the
+    report their count and largest ratios."""
+    lines = (out / "decay.csv").read_text().splitlines()
+    assert lines[1] == "k,lambda,time_ratio,freq_ratio"
+    rows = np.array([[float(v) for v in line.split(",")] for line in lines[2:]])
+    assert len(rows) > 0
+    assert np.all(rows[:, 2:] > 0.0) and np.all(rows[:, 2:] <= 1.0)
+    report = _read_json(out / "decay_report.json")
+    assert report["rows"] == len(rows)
+    assert report["max_time_ratio"] == rows[:, 2].max()
+    assert report["max_freq_ratio"] == rows[:, 3].max()
 
 
 def test_decay_gaussian_hermite(tmp_path):
@@ -518,6 +529,26 @@ def test_decay_custom_window_skips_vanishing(tmp_path):
     assert rc == 0
     report = _read_json(tmp_path / "decay_report.json")
     assert report["kernel_vanishing"] == "skipped"
+    # custom windows get majorant rows like the stock ones
+    _assert_majorant_rows(tmp_path)
+
+
+def test_decay_exits_3_over_the_majorant(tmp_path, monkeypatch, capsys):
+    # a ratio above 1 is a broken invariant, not a silent row: the leading
+    # eigenfunction, moved one time unit, has mass past t = 2, where no
+    # shifted triangle of the unit disc reaches
+    solve = tc.eigendecompose
+
+    def moved(op, vectors=None):
+        spectrum = solve(op, vectors=vectors)
+        vecs = spectrum.eigenfunctions.copy()
+        vecs[:, 0] = np.roll(vecs[:, 0], round(1.0 / op.grid.dt))
+        return dataclasses.replace(spectrum, eigenfunctions=vecs)
+
+    monkeypatch.setattr("tfconc.cli.eigendecompose", moved)
+    argv = ["decay", "--window", "triangle", "--region", "disc 0 0 1"]
+    assert main([*argv, "--out", str(tmp_path)]) == 3
+    assert "time majorant" in capsys.readouterr().err
 
 
 def test_filter_fixed_point(tmp_path):

@@ -1,70 +1,124 @@
-"""Decay envelopes, eigenfunction tail checks, and the two classical benchmarks."""
+"""The eigen-equation's decay majorant, support checks, and the two classical
+benchmarks."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tfconc as tc
-from tfconc import decay, operators
+from tfconc import decay, grids, operators
 
 from conftest import chirped
 
 
-def test_envelope_validation():
-    with pytest.raises(tc.DomainError):
-        tc.StretchedExp(-1.0, 2.0)
+def _significant(spectrum):
+    """How many eigenvalues exceed 1e-4."""
+    return int(np.count_nonzero(spectrum.eigenvalues > 1e-4))
 
 
-def test_log_eval_matches_log():
-    s = np.linspace(0.0, 20.0, 50)
-    for gamma in (tc.PowerLaw(2.0), tc.StretchedExp(0.5, 1.5)):
-        direct = np.log(gamma(s))
-        assert np.max(np.abs(gamma.log_eval(s) - direct)) < 1e-12
+def test_majorant_holds_for_gaussian_eigenfunctions(gauss_disc_spectrum):
+    count = _significant(gauss_disc_spectrum)
+    ratios = tc.majorant_check(gauss_disc_spectrum, count)
+    assert ratios.shape == (count, 2)
+    assert np.all(ratios > 0.0) and np.all(ratios <= 1.0)
 
 
-def test_decay_check_gaussian_eigenfunction(gauss_disc_spectrum):
-    # default t_min rule: region extent 1.5 + window tail + 1
-    psi1 = gauss_disc_spectrum.eigenfunction(0)
-    t_min = 1.5 + 2.012 + 1.0
-    out = tc.decay_check(psi1, tc.StretchedExp(math.pi, 2.0), 0.1, t_min)
-    assert out["ok"]
+def test_majorant_defaults_to_the_decay_rows(gauss_disc_spectrum):
+    # at most 16 leading eigenfunctions, each with an eigenvalue above 1e-4
+    ratios = tc.majorant_check(gauss_disc_spectrum)
+    assert len(ratios) == min(16, _significant(gauss_disc_spectrum))
+    full = tc.majorant_check(gauss_disc_spectrum, _significant(gauss_disc_spectrum))
+    assert np.array_equal(ratios, full[: len(ratios)])
 
 
-def test_decay_check_violated(gauss_grid):
-    # 1/(1 + |t|) cannot sit under a Gaussian envelope
-    vals = 1.0 / (1.0 + np.abs(gauss_grid.times))
-    out = tc.decay_check(
-        tc.Signal(gauss_grid, vals.astype(complex)), tc.StretchedExp(1.0, 2.0), 0.1, 1.0
+def _with_leading(spectrum, samples):
+    """``spectrum`` with its leading eigenfunction replaced by ``samples``."""
+    vecs = spectrum.eigenfunctions[:, :1].astype(complex)
+    vecs[:, 0] = samples
+    return dataclasses.replace(spectrum, eigenfunctions=vecs)
+
+
+@pytest.mark.parametrize(
+    "side, move",
+    [
+        # psi_0 translated 3 beyond the region's tau extent of 1.5
+        ("time", lambda psi: grids._shifted(psi.samples, -round(4.5 / psi.grid.dt))),
+        # and modulated 3 beyond its sigma extent
+        ("frequency", lambda psi: psi.samples * np.exp(2j * np.pi * 4.5 * psi.grid.times)),
+    ],
+    ids=["time", "frequency"],
+)
+def test_majorant_breaks_on_mass_outside_the_shadow(gauss_disc_spectrum, side, move):
+    # a unit vector carrying its mass where no shifted window reaches cannot
+    # satisfy the eigen-equation: the mutation must break the majorant
+    moved = move(gauss_disc_spectrum.eigenfunction(0))
+    assert np.sqrt(gauss_disc_spectrum.operator.grid.dt * np.sum(np.abs(moved) ** 2)) == (
+        pytest.approx(1.0, abs=1e-12)
     )
-    assert not out["ok"]
+    with pytest.raises(tc.NumericalError, match=f"eigenfunction 0 exceeds its {side} majorant"):
+        tc.majorant_check(_with_leading(gauss_disc_spectrum, moved), 1)
 
 
-def test_decay_check_vacuous(gauss_grid):
-    vals = np.exp(-50.0 * gauss_grid.times**2)
-    out = tc.decay_check(
-        tc.Signal(gauss_grid, vals.astype(complex)), tc.PowerLaw(2.0), 0.1, 5.0
+@pytest.mark.parametrize(
+    "size, breaks", [(0.5e-12, False), (2e-12, True)], ids=["under-floor", "over-floor"]
+)
+def test_majorant_floor(gauss_disc_spectrum, size, breaks):
+    # a spike in the far tail, where the time majorant is below 1e-40: under
+    # 1e-12 of the peak it is rounding and left out, over it it counts
+    psi = gauss_disc_spectrum.eigenfunction(0).samples
+    spiked = psi.astype(complex)
+    spiked[-1] = size * np.abs(psi).max()
+    check = tc.majorant_check
+    if breaks:
+        with pytest.raises(tc.NumericalError, match="time majorant"):
+            check(_with_leading(gauss_disc_spectrum, spiked), 1)
+    else:
+        out = check(_with_leading(gauss_disc_spectrum, spiked), 1)
+        assert out[0, 0] == check(_with_leading(gauss_disc_spectrum, psi), 1)[0, 0]
+
+
+def test_majorant_past_computed_columns(gauss_disc_op):
+    short = tc.eigendecompose(gauss_disc_op, vectors=2)
+    with pytest.raises(tc.DomainError, match="2 computed"):
+        tc.majorant_check(short, 3)
+
+
+def _triangle(centre, radii, turn):
+    angles = turn + 2 * np.pi / 3 * np.arange(3)
+    x, y = centre
+    return tc.Polygon(np.column_stack([x + radii * np.cos(angles), y + radii * np.sin(angles)]))
+
+
+def _drawn_regions():
+    """Discs, rects and triangles with random centres: a centre off the
+    sigma = 0 axis makes the operator complex."""
+    centre = st.tuples(st.floats(-1.5, 1.5), st.one_of(st.just(0.0), st.floats(-1.5, 1.5)))
+    size = st.floats(0.3, 1.5)
+    disc = st.builds(tc.Disc, centre, size)
+    rect = st.builds(
+        lambda c, a, b: tc.Rect(c[0] - a, c[0] + a, c[1] - b, c[1] + b), centre, size, size
     )
-    assert out["ok"]
-    assert out["flag"] == "vacuous"
-    assert out["C_fit"] == 0.0
+    radii = st.lists(size, min_size=3, max_size=3).map(np.array)
+    triangle = st.builds(_triangle, centre, radii, st.floats(0.0, 2 * np.pi))
+    return st.one_of(disc, rect, triangle)
 
 
-def test_decay_check_narrow_shell(gauss_grid):
-    vals = 1.0 / (1.0 + gauss_grid.times**2)
-    out = tc.decay_check(
-        tc.Signal(gauss_grid, vals.astype(complex)), tc.PowerLaw(2.0), 0.1, 6.5
-    )
-    assert out["flag"] == "narrow"
-    assert out["ok"]
-
-
-def test_decay_check_validation(gauss_grid):
-    f = tc.Signal(gauss_grid, np.ones(gauss_grid.n, dtype=complex))
-    with pytest.raises(tc.DomainError):
-        tc.decay_check(f, tc.PowerLaw(2.0), 0.0, 1.0)
-    with pytest.raises(tc.DomainError):
-        tc.decay_check(f, tc.PowerLaw(2.0), 0.1, -1.0)
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(
+    family=st.sampled_from(["gaussian", "triangle"]),
+    c=st.floats(0.5 * math.pi, 2.0 * math.pi),
+    region=_drawn_regions(),
+)
+def test_majorant_holds_on_drawn_windows_and_regions(family, c, region):
+    # the majorant property on both chains: float64 for the regions
+    # mirror-symmetric about sigma = 0, complex128 for the rest
+    window = tc.make_window(family, tc.auto_grid(family, region, c=c), c=c)
+    spectrum = tc.eigendecompose(tc.assemble(window, region), vectors=16)
+    assert np.all(tc.majorant_check(spectrum) <= 1.0)
 
 
 def test_triangle_eigenfunction_support(tri_disc_spectrum):
@@ -80,12 +134,13 @@ def test_triangle_eigenfunction_support(tri_disc_spectrum):
         assert mass_out < 1e-10
 
 
-def test_triangle_frequency_decay(tri_disc_spectrum):
-    # Fejer-kernel-style bound: |psi_hat| under a PowerLaw(1.9) envelope
-    psi_hat = tc.fourier_transform(tri_disc_spectrum.eigenfunction(0))
-    out = tc.decay_check(psi_hat, tc.PowerLaw(1.9), 0.1, 2.0)
-    assert out["ok"]
-    assert out["C_fit"] > 0.0
+def test_majorant_holds_for_triangle_eigenfunctions(tri_disc_spectrum):
+    # the triangle's transform decays only like sigma^-2, and every
+    # eigenfunction's at least as fast
+    count = _significant(tri_disc_spectrum)
+    ratios = tc.majorant_check(tri_disc_spectrum, count)
+    assert ratios.shape == (count, 2)
+    assert np.all(ratios > 0.0) and np.all(ratios <= 1.0)
 
 
 def test_kernel_vanishing_triangle(tri_window, tri_disc_op):

@@ -212,11 +212,11 @@ def test_csv_writers_match_the_per_value_formatter(tmp_path, rng):
     floats = [0.0, -0.0, 1.0, -2.5, 1 / 3, 1e-300, -5e-324, 1.7976931348623157e308,
               float("nan"), float("inf"), -float("inf"), np.float32(0.1), np.float64(2) / 3]
     ints = [0, -1, 7, np.int64(-3), np.int32(12), 2**40, np.uint8(255), 1, 2, 3, 4, 5, 6]
-    bools = [True, False, np.True_, np.False_] * 3 + [True]
-    decay_rows = [(k, lam, c, ok) for k, lam, c, ok in zip(ints, floats, floats[::-1], bools)]
+    decay_rows = list(zip(ints, floats, floats[::-1], floats[3:] + floats[:3]))
     path = tmp_path / "decay.csv"
     tio.write_decay_csv(path, decay_rows, tag="x")
-    assert path.read_text() == _old_csv(("k", "lambda", "C_fit", "ok"), decay_rows, "x")
+    columns = ("k", "lambda", "time_ratio", "freq_ratio")
+    assert path.read_text() == _old_csv(columns, decay_rows, "x")
 
     lam = np.array(floats[:11], dtype=np.float64)
     tio.write_spectrum_csv(path, lam, tag="y")

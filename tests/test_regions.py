@@ -303,3 +303,21 @@ def test_polygon_boundary_counts_inside():
     assert tri.contains(np.array([1.0]), np.array([0.0]))[0]
     assert tri.contains(np.array([0.5]), np.array([0.5]))[0]
     assert not tri.contains(np.array([1.5]), np.array([1.5]))[0]
+
+
+@pytest.mark.parametrize(
+    "text, mean_time, mean_freq",
+    [("disc 3 0 1", -3.01, 0.0), ("disc 2 1 1", -2.01, 1.01)],
+)
+def test_region_at_tau_concentrates_at_time_minus_tau(text, mean_time, mean_freq):
+    # tf_shift is e^{pi i tau sigma} e^{2 pi i sigma t} f(t + tau): a region
+    # centred at (tau, sigma) concentrates signals at time -tau and
+    # frequency +sigma
+    region = tc.parse_region(text)
+    window = tc.make_window("gaussian", tc.auto_grid("gaussian", region))
+    psi = tc.eigendecompose(tc.assemble(window, region), vectors=1).eigenfunction(0)
+    hat = tc.fourier_transform(psi)
+    for signal, mean in ((psi, mean_time), (hat, mean_freq)):
+        grid = signal.grid
+        centroid = grid.dt * np.sum(grid.times * np.abs(signal.samples) ** 2)
+        assert centroid == pytest.approx(mean, abs=0.05)

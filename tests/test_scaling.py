@@ -8,6 +8,7 @@ from scipy.integrate import dblquad, quad
 from scipy.special import erf, i0e, i1e
 
 import tfconc as tc
+from tfconc import scaling
 
 # closed-form autocorrelation for the unit square with an isotropic Gaussian:
 # the integral factorizes per axis into
@@ -183,6 +184,21 @@ def test_plunge_fit_all_equal_counts():
     fit = tc.plunge_fit(report)
     assert fit["slope"] == pytest.approx(0.0, abs=1e-12)
     assert fit["rows_used"] == 3
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        (np.arange(4.0), np.full(4, 2.0)),  # polyfit leaves ss_res of 2.8e-30
+        (np.log([1.0, 2.0, 4.0]), np.full(3, 2.0)),
+        (np.arange(10.0), np.full(10, 1e10)),
+    ],
+)
+def test_fit_line_flat_series_is_a_perfect_fit(x, y):
+    slope, intercept, r2 = scaling._fit_line(x, y)
+    assert r2 == 1.0
+    assert slope == pytest.approx(0.0, abs=1e-12 * abs(y[0]))
+    assert intercept == pytest.approx(y[0])
 
 
 def test_plunge_fit_underdetermined():
@@ -428,8 +444,6 @@ def _disc_bracket_series(x):
 
 
 def test_autocorr_disc_small_scales():
-    from tfconc import scaling
-
     d = tc.GaussianDensity(sigma=1.0)
     q = tc.Disc((0.0, 0.0), 2.0)
     area = q.area()
