@@ -52,9 +52,6 @@ from .operators import (
 )
 from .hermite import hermite_samples
 from .scaling import (
-    SELF_DUAL_SIGMA,
-    GaussianDensity,
-    standard_density,
     ScalingReport,
     ScalingRow,
     auto_grid,
@@ -133,9 +130,6 @@ __all__ = [
     "scaling_experiment",
     "plunge_fit",
     "hs_error_rate",
-    "GaussianDensity",
-    "SELF_DUAL_SIGMA",
-    "standard_density",
     "autocorr_integral",
     "decay_condition_margins",
     # decay

@@ -42,13 +42,13 @@ from .grids import SampleGrid, grids_compatible
 from .operators import assemble, eigendecompose, eigenfilter, energy
 from .regions import Region, parse_region, region_label
 from .scaling import (
+    _SIGMA,
     auto_grid,
     autocorr_integral,
     decay_condition_margins,
     hs_error_rate,
     plunge_fit,
     scaling_experiment,
-    standard_density,
 )
 from .windows import Window, make_window
 
@@ -126,6 +126,9 @@ def _parse_scales(text: str) -> list[float]:
         raise ConfigError(f"bad scales {text!r}: {exc}") from exc
     if not scales:
         raise ConfigError("scales must not be empty")
+    for r in scales:
+        if not math.isfinite(r):
+            raise ConfigError(f"scales must be finite, got {r}")
     return scales
 
 
@@ -340,18 +343,17 @@ def cmd_autocorr(opt: dict, out: Path, tag: str) -> int:
         raise ConfigError(f"the decay condition needs both --p and --C; {missing} is missing")
     q = parse_region(opt["region"])
     scales = _parse_scales(opt["scales"])
-    density = standard_density()
-    rows = [(r, autocorr_integral(density, q, r)) for r in scales]
+    rows = [(r, autocorr_integral(q, r)) for r in scales]
 
     io.write_autocorr_csv(out / "autocorr.csv", rows, tag)
     report = {
         "region": region_label(q),
         "area": q.area(),
-        "sigma": density.sigma,
+        "sigma": _SIGMA,
         "values": [{"r": r, "value": v} for r, v in rows],
     }
     if opt["p"] is not None:
-        margins = decay_condition_margins(density, opt["p"], opt["c"], scales)
+        margins = decay_condition_margins(opt["p"], opt["c"], scales)
         report["decay_condition"] = {
             "p": opt["p"],
             "C": opt["c"],

@@ -44,6 +44,15 @@ def _uniform_step(values: np.ndarray, what: str) -> float:
     return step
 
 
+def _require_step(values: np.ndarray, what: str, want: float, name: str) -> None:
+    """ValueError unless ``values`` increase with a uniform step equal to
+    ``want``, which the message calls ``name``, to the grid tolerance."""
+    if len(values) > 1:
+        step = _uniform_step(values, what)
+        if abs(step - want) > _REL_TOL * want:
+            raise ValueError(f"{what} step {step!r} must equal {name} = {want!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class PhaseGrid:
     """Rectangular set of phase-space nodes ``(tau_i, sigma_j)``.
@@ -64,16 +73,10 @@ class PhaseGrid:
         if taus.ndim != 1 or len(taus) == 0 or sigmas.ndim != 1 or len(sigmas) == 0:
             raise ValueError("phase grid needs 1-D, non-empty tau and sigma values")
         dt, ds = self.grid.dt, self.grid.dsigma
-        if len(taus) > 1:
-            step = _uniform_step(taus, "tau")
-            if abs(step - dt) > _REL_TOL * dt:
-                raise ValueError(f"tau step {step!r} must equal dt {dt!r}")
+        _require_step(taus, "tau", dt, "dt")
         for tau in (taus[0], taus[-1]):
             self.grid.shift_index(tau)  # alignment check, raises AlignmentError
-        if len(sigmas) > 1:
-            step = _uniform_step(sigmas, "sigma")
-            if abs(step - ds) > _REL_TOL * ds:
-                raise ValueError(f"sigma step {step!r} must equal 1/(n dt) = {ds!r}")
+        _require_step(sigmas, "sigma", ds, "1/(n dt)")
         if len(sigmas) > self.grid.n:
             raise ValueError(
                 f"{len(sigmas)} sigma rows exceed one FFT period (n={self.grid.n})"
@@ -228,10 +231,7 @@ def ambiguity_table(
     grid = window.grid
     taus = np.asarray(tau_values, dtype=float)
     sigmas = np.asarray(sigma_values, dtype=float)
-    if len(sigmas) > 1:
-        steps = np.diff(sigmas)
-        if not np.allclose(steps, grid.dsigma, rtol=1e-9):
-            raise ValueError("sigma values must step by 1/(n dt)")
+    _require_step(sigmas, "sigma", grid.dsigma, "1/(n dt)")
     phi = window.samples
     rows = shifted_rows(phi, np.array([grid.shift_index(tau) for tau in taus], dtype=int))
     # H(tau, s) = e^{pi i tau s} * conj( dt sum conj(v) e^{-2 pi i s t} ),

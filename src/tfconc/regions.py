@@ -9,13 +9,14 @@ signal for its Fourier transform.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CoverageError, InvalidScaleError
-from .gabor import PhaseGrid
+from .gabor import PhaseGrid, _uniform_step
 
 __all__ = [
     "Region",
@@ -42,9 +43,17 @@ _LIVE_CELL_ARRAYS = 5
 
 
 def _check_scale(r: float) -> float:
-    if not r > 0:
-        raise InvalidScaleError(f"scale factor must be positive, got {r}")
+    if not (r > 0 and math.isfinite(r)):
+        raise InvalidScaleError(f"scale factor must be positive and finite, got {r}")
     return float(r)
+
+
+def _require_finite(what: str, values) -> None:
+    """ValueError naming the first of ``values`` that is inf or nan."""
+    values = np.asarray(values, dtype=float).ravel()
+    bad = values[~np.isfinite(values)]
+    if bad.size:
+        raise ValueError(f"{what} must be finite, got {bad[0]}")
 
 
 class Region(ABC):
@@ -78,6 +87,7 @@ class Disc(Region):
     radius: float
 
     def __post_init__(self) -> None:
+        _require_finite("disc center and radius", [*self.center, self.radius])
         if not self.radius > 0:
             raise ValueError(f"disc radius must be positive, got {self.radius}")
 
@@ -113,6 +123,8 @@ class Rect(Region):
     sigma_hi: float
 
     def __post_init__(self) -> None:
+        _require_finite("rectangle bounds",
+                        [self.tau_lo, self.tau_hi, self.sigma_lo, self.sigma_hi])
         if self.tau_lo > self.tau_hi or self.sigma_lo > self.sigma_hi:
             raise ValueError("rectangle intervals must not be reversed")
 
@@ -161,6 +173,7 @@ class Polygon(Region):
         verts = np.asarray(self.vertices, dtype=float)
         if verts.ndim != 2 or verts.shape[1] != 2 or len(verts) < 3:
             raise ValueError("polygon needs at least three (tau, sigma) vertices")
+        _require_finite("polygon vertices", verts)
         crossing = _crossing_edges(verts)
         if crossing is not None:
             i, j = crossing
@@ -264,10 +277,8 @@ class Mask(Region):
                 f"({len(taus)}, {len(sigmas)}) cells"
             )
         for vals, name in ((taus, "tau"), (sigmas, "sigma")):
-            if len(vals) > 1:
-                steps = np.diff(vals)
-                if steps[0] <= 0 or not np.allclose(steps, steps[0], rtol=1e-9):
-                    raise ValueError(f"mask {name} values need a uniform positive step")
+            _require_finite(f"mask {name} values", vals)
+            _uniform_step(vals, f"mask {name}")
         object.__setattr__(self, "tau_values", taus)
         object.__setattr__(self, "sigma_values", sigmas)
         object.__setattr__(self, "inside", flags)

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special
 
 from .errors import (
     CoverageError,
@@ -33,9 +32,6 @@ __all__ = [
     "scaling_experiment",
     "plunge_fit",
     "hs_error_rate",
-    "GaussianDensity",
-    "SELF_DUAL_SIGMA",
-    "standard_density",
     "autocorr_integral",
     "decay_condition_margins",
 ]
@@ -234,8 +230,11 @@ def hs_error_rate(report: ScalingReport) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# densities and the Lemma-style integrals
+# the spectrogram density and the Lemma-style integrals
 
+#: width of the density e^{-pi |u|^2} (2 pi sigma^2 = 1): the spectrogram
+#: |V_g g|^2 of the gaussian:pi window, an isotropic Gaussian of mass 1
+_SIGMA = 1.0 / math.sqrt(2.0 * math.pi)
 #: outer lattice points per axis in autocorr_integral's route for rects,
 #: masks and polygons (discs have a closed form and no lattice)
 _ETA = 128
@@ -245,77 +244,49 @@ _ETA = 128
 _DISC_SERIES_X = 2e-3
 
 
-@dataclass(frozen=True)
-class GaussianDensity:
-    """Centered isotropic Gaussian probability density on the plane.
+def _cdf(z):
+    """The density's marginal distribution function along either axis."""
+    import scipy.special
 
-    Its marginal distribution function (``_cdf``) and its polygon masses
-    (``mass_on_polygon``) are exact, which gives ``autocorr_integral`` an
-    exact inner integral on every lattice route -- erf differences for
-    rectangles and masks, Owen's T sums for polygons; discs need no inner
-    mass.
+    root2 = math.sqrt(2.0) * _SIGMA
+    return 0.5 * (1.0 + scipy.special.erf(np.asarray(z) / root2))
+
+
+def _polygon_mass(x, y):
+    """Exact integral of the density over the simple polygon with vertices
+    ``(x, y)``.
+
+    The vertices run along the last axis, in either orientation; leading
+    axes index separate polygons.  Each edge spans a triangle with the
+    density's centre.  With ``h`` the centre's distance (in units of
+    ``sigma``) to the edge's line and ``t`` a point's coordinate along
+    that line from the foot of the perpendicular, the right triangle with
+    legs ``h`` and ``t`` holds ``atan(t / h) / (2 pi) - T(h, t / h)``,
+    where ``T`` is Owen's T function (Owen 1956).  The polygon's mass is
+    the sum of the edge triangles, each signed by its orientation about
+    the centre, times the polygon's own orientation.
     """
+    import scipy.special
 
-    sigma: float = 1.0
+    x = np.asarray(x, dtype=float) / _SIGMA
+    y = np.asarray(y, dtype=float) / _SIGMA
+    x2 = np.roll(x, -1, axis=-1)
+    y2 = np.roll(y, -1, axis=-1)
+    dx, dy = x2 - x, y2 - y
+    cross = x * y2 - x2 * y
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # t / h for each end of the edge is its dot product with the edge
+        # over |cross|.  An edge whose line passes through the centre spans
+        # no triangle; its nan terms are masked below.
+        h = np.abs(cross) / np.hypot(dx, dy)
+        start = (x * dx + y * dy) / np.abs(cross)
+        end = (x2 * dx + y2 * dy) / np.abs(cross)
 
-    def __post_init__(self) -> None:
-        if not self.sigma > 0:
-            raise DomainError(f"sigma must be positive, got {self.sigma}")
+    def leg(a):
+        return np.arctan(a) / (2.0 * math.pi) - scipy.special.owens_t(h, a)
 
-    def __call__(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        s2 = self.sigma**2
-        return 1.0 / (2.0 * math.pi * s2) * np.exp(-(x * x + y * y) / (2.0 * s2))
-
-    def _cdf(self, z):
-        """Marginal distribution function along either axis."""
-        root2 = math.sqrt(2.0) * self.sigma
-        return 0.5 * (1.0 + scipy.special.erf(np.asarray(z) / root2))
-
-    def mass_on_polygon(self, x, y):
-        """Exact integral over the simple polygon with vertices ``(x, y)``.
-
-        The vertices run along the last axis, in either orientation; leading
-        axes index separate polygons.  Each edge spans a triangle with the
-        density's centre.  With ``h`` the centre's distance (in units of
-        ``sigma``) to the edge's line and ``t`` a point's coordinate along
-        that line from the foot of the perpendicular, the right triangle with
-        legs ``h`` and ``t`` holds ``atan(t / h) / (2 pi) - T(h, t / h)``,
-        where ``T`` is Owen's T function (Owen 1956).  The polygon's mass is
-        the sum of the edge triangles, each signed by its orientation about
-        the centre, times the polygon's own orientation.
-        """
-        x = np.asarray(x, dtype=float) / self.sigma
-        y = np.asarray(y, dtype=float) / self.sigma
-        x2 = np.roll(x, -1, axis=-1)
-        y2 = np.roll(y, -1, axis=-1)
-        dx, dy = x2 - x, y2 - y
-        cross = x * y2 - x2 * y
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # t / h for each end of the edge is its dot product with the edge
-            # over |cross|.  An edge whose line passes through the centre spans
-            # no triangle; its nan terms are masked below.
-            h = np.abs(cross) / np.hypot(dx, dy)
-            start = (x * dx + y * dy) / np.abs(cross)
-            end = (x2 * dx + y2 * dy) / np.abs(cross)
-
-        def leg(a):
-            return np.arctan(a) / (2.0 * math.pi) - scipy.special.owens_t(h, a)
-
-        edges = np.where(cross != 0.0, np.sign(cross) * (leg(end) - leg(start)), 0.0)
-        return np.sign(np.sum(cross, axis=-1)) * np.sum(edges, axis=-1)
-
-
-#: Width at which GaussianDensity equals exp(-pi (x^2+y^2)) -- the spectrogram
-#: of the unit Gaussian window, and the reference density for the scaling
-#: experiments.  (2 pi sigma^2 = 1.)
-SELF_DUAL_SIGMA = 1.0 / math.sqrt(2.0 * math.pi)
-
-
-def standard_density() -> GaussianDensity:
-    """The self-dual Gaussian density exp(-pi |u|^2), mass exactly 1."""
-    return GaussianDensity(sigma=SELF_DUAL_SIGMA)
+    edges = np.where(cross != 0.0, np.sign(cross) * (leg(end) - leg(start)), 0.0)
+    return np.sign(np.sum(cross, axis=-1)) * np.sum(edges, axis=-1)
 
 
 def _cells(q: Rect | Mask) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -329,8 +300,16 @@ def _cells(q: Rect | Mask) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return t_edges, s_edges, q.inside.astype(float)
 
 
-def autocorr_integral(f: GaussianDensity, q: Region, r: float) -> float:
-    """``r^-2`` times the double integral of ``f(x - y)`` over ``rQ x rQ``.
+def autocorr_integral(q: Region, r: float) -> float:
+    """``r^-2`` times the double integral of ``e^{-pi |x - y|^2}`` over
+    ``rQ x rQ``.
+
+    The density is the spectrogram of the gaussian:pi window, an isotropic
+    Gaussian of width ``sigma = 1/sqrt(2 pi)``; ``r^2`` times the value is
+    the squared Hilbert-Schmidt norm (``sum lambda^2``) of the continuum
+    concentration operator on ``rQ``.  A Gaussian of any other width ``s`` gives the value at scale
+    ``r * sigma / s``: the integral depends on ``r`` and the width only
+    through ``r / s``.
 
     For a disc of radius ``R`` the value is the closed form
     ``pi R^2 [1 - e^-X (I0(X) + I1(X))]`` with ``X = (r R / sigma)^2``: the
@@ -345,8 +324,8 @@ def autocorr_integral(f: GaussianDensity, q: Region, r: float) -> float:
 
     Rects, masks and polygons are computed in the substituted form: the outer
     variable runs over the points of a 128 x 128 midpoint lattice on ``Q``'s
-    bounding box that lie in ``Q``, and the inner integral of ``f`` over
-    ``r(Q - eta)`` is exact at each -- Owen's T sum (``mass_on_polygon``) for
+    bounding box that lie in ``Q``, and the inner integral of the density over
+    ``r(Q - eta)`` is exact at each -- Owen's T sum (``_polygon_mass``) for
     polygons, and for rectangles and masks the sum of the cells' erf
     products, which over the lattice is ``Ax inside Ay^T`` with ``Ax[p, i]``
     the marginal mass of cell column ``i`` seen from ``eta_x[p]``.  The value
@@ -359,17 +338,19 @@ def autocorr_integral(f: GaussianDensity, q: Region, r: float) -> float:
         return 0.0
 
     if isinstance(q, Disc):
-        rho = r * q.radius / f.sigma
+        rho = r * q.radius / _SIGMA
         x = rho * rho  # overflows to inf, where the value is the area
         if x < _DISC_SERIES_X:
             # coefficients c_k = -c_(k-1) (2k - 1) / (k (k + 1)), c_1 = 1/2;
             # the first omitted term is below 4e-13 relative here
             value = area * x * (0.5 - x * (0.25 - x * (5 / 48 - x * 7 / 192)))
         else:
+            import scipy.special
+
             value = area * float(1.0 - scipy.special.i0e(x) - scipy.special.i1e(x))
         bound = area
     else:
-        value, bound = _lattice_autocorr(f, q, r, area)
+        value, bound = _lattice_autocorr(q, r, area)
 
     if value > bound * (1.0 + 1e-6):
         raise NumericalError(
@@ -378,9 +359,7 @@ def autocorr_integral(f: GaussianDensity, q: Region, r: float) -> float:
     return value
 
 
-def _lattice_autocorr(
-    f: GaussianDensity, q: Region, r: float, area: float
-) -> tuple[float, float]:
+def _lattice_autocorr(q: Region, r: float, area: float) -> tuple[float, float]:
     """The outer-lattice route of :func:`autocorr_integral`: its value, and the
     larger of ``area`` and the selected lattice cells' area as its bound."""
     t_lo, t_hi, s_lo, s_hi = q.bounding_box()
@@ -395,11 +374,11 @@ def _lattice_autocorr(
 
     if isinstance(q, Polygon):
         vx, vy = q.vertices.T
-        masses = f.mass_on_polygon(r * (vx - ex[:, None]), r * (vy - ey[:, None]))
+        masses = _polygon_mass(r * (vx - ex[:, None]), r * (vy - ey[:, None]))
     elif isinstance(q, (Rect, Mask)):
         t_edges, s_edges, inside = _cells(q)
-        ax = np.diff(f._cdf(r * (t_edges - eta_x[:, None])), axis=1)
-        ay = np.diff(f._cdf(r * (s_edges - eta_y[:, None])), axis=1)
+        ax = np.diff(_cdf(r * (t_edges - eta_x[:, None])), axis=1)
+        ay = np.diff(_cdf(r * (s_edges - eta_y[:, None])), axis=1)
         lattice = np.einsum("pj,qj->pq", np.einsum("pi,ij->pj", ax, inside), ay)
         masses = lattice[inside_q]
     else:
@@ -407,19 +386,19 @@ def _lattice_autocorr(
     return float(hx * hy * masses.sum()), bound
 
 
-def decay_condition_margins(f: GaussianDensity, p: float, C: float, radii) -> list[dict]:
+def decay_condition_margins(p: float, C: float, radii) -> list[dict]:
     """Per-radius tail-versus-bound ledger for the polynomial decay condition.
 
     Each entry reports the mass outside the centred disc of radius ``r``,
     ``tail = exp(-r^2 / (2 sigma^2))``, the bound ``C / r^p``, and whether the
-    condition holds there.
+    condition holds there: ``tail <= bound``, with no slack.
     """
     out = []
     for r in radii:
         r = float(r)
         if r <= 0:
             raise DomainError(f"radii must be positive, got {r}")
-        tail = math.exp(-r * r / (2.0 * f.sigma**2))
+        tail = math.exp(-r * r / (2.0 * _SIGMA**2))
         bound = C / r**p
-        out.append({"r": r, "tail": tail, "bound": bound, "ok": tail <= bound + 1e-12})
+        out.append({"r": r, "tail": tail, "bound": bound, "ok": tail <= bound})
     return out

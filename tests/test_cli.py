@@ -630,7 +630,7 @@ def test_autocorr_defaults(tmp_path):
     assert rc == 0
     report = _read_json(tmp_path / "autocorr_report.json")
     assert report["region"] == "rect -0.5 0.5 -0.5 0.5"
-    assert report["sigma"] == pytest.approx(tc.SELF_DUAL_SIGMA)
+    assert report["sigma"] == pytest.approx(1.0 / math.sqrt(2.0 * math.pi))
     values = [row["value"] for row in report["values"]]
     assert values == sorted(values)
     assert values[-1] == pytest.approx(0.960607050100629, abs=1e-3)
@@ -642,6 +642,29 @@ def test_autocorr_decay_condition(tmp_path):
     report = _read_json(tmp_path / "autocorr_report.json")
     assert report["decay_condition"]["ok"] is True
     assert len(report["decay_condition"]["margins"]) == 4
+
+
+@pytest.mark.parametrize(
+    "argv, value",
+    [
+        (["spectrum", "--region", "disc 0 0 inf"], "inf"),
+        (["spectrum", "--region", "disc nan 0 1"], "nan"),
+        (["autocorr", "--region", "rect 0 inf 0 1"], "inf"),
+        (["autocorr", "--region", "poly 0 0 1 0 0 inf"], "inf"),
+        (["autocorr", "--region", "mask {mask}"], "inf"),
+        (["autocorr", "--scales", "2,inf"], "inf"),
+        (["asymptotics", "--scales", "1,nan,2"], "nan"),
+    ],
+    ids=["disc-radius", "disc-center", "rect", "poly", "mask", "autocorr-scale",
+         "asymptotics-scale"],
+)
+def test_non_finite_numbers_are_refused(tmp_path, capsys, argv, value):
+    mask = tmp_path / "mask.csv"
+    mask.write_text("tau,sigma,inside\n0,0,1\ninf,0,1\n")
+    argv = [arg.format(mask=mask) for arg in argv]
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    assert f"must be finite, got {value}" in capsys.readouterr().err
+    assert not any(tmp_path.glob("*.json"))
 
 
 @pytest.mark.parametrize("given, missing", [("--p", "--C"), ("--C", "--p")])
@@ -730,12 +753,14 @@ def test_seed_is_not_an_option(tmp_path, capsys):
 
 
 def test_cli_import_leaves_out_scipy_signal():
-    # a fresh interpreter, so that no earlier test's imports count
+    # a fresh interpreter, so that no earlier test's imports count;
+    # scipy.special is loaded by the autocorr routes that call it, not at import
     src = os.path.dirname(os.path.dirname(tc.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     code = (
         "import sys, tfconc.cli; "
-        "print([m for m in ('scipy.signal', 'scipy.integrate') if m in sys.modules])"
+        "print([m for m in ('scipy.signal', 'scipy.integrate', 'scipy.special') "
+        "if m in sys.modules])"
     )
     out = subprocess.run(
         [sys.executable, "-c", code],

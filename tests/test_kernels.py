@@ -90,6 +90,12 @@ def test_ambiguity_table_rejects_bad_sigma_step(fine_gauss):
     g = fine_gauss.grid
     with pytest.raises(ValueError):
         tc.ambiguity_table(fine_gauss, np.array([0.0]), np.array([0.0, 1.5 * g.dsigma]))
+    # 5e-7 relative off dsigma = 1/101 is under an absolute 1e-8, but PhaseGrid
+    # refuses it, and so does the table
+    window = tc.make_window("gaussian", tc.SampleGrid(101, 1.0))
+    ds = window.grid.dsigma
+    with pytest.raises(ValueError, match="must equal"):
+        tc.ambiguity_table(window, np.array([0.0]), np.array([0.0, ds * (1.0 + 5e-7)]))
 
 
 def test_kernel_diagonal(fine_gauss):

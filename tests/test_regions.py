@@ -275,6 +275,12 @@ def test_mask_shape_validation():
         tc.Mask(np.arange(3.0), np.arange(4.0), np.zeros((3, 3), dtype=bool))
 
 
+def test_mask_step_is_uniform_relative_to_itself():
+    # steps of 1e-9 and 2e-9 differ by less than an absolute 1e-8
+    with pytest.raises(ValueError, match="uniform step"):
+        tc.Mask([0.0, 1e-9, 3e-9], [0.0], np.ones((3, 1), dtype=bool))
+
+
 def test_parse_region():
     d = tc.parse_region("disc 0 0 1.5")
     assert isinstance(d, tc.Disc) and d.radius == 1.5

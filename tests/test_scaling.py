@@ -10,6 +10,9 @@ from scipy.special import erf, i0e, i1e
 import tfconc as tc
 from tfconc import scaling
 
+#: width of e^{-pi |u|^2}, the density autocorr_integral integrates
+SIGMA_0 = 1.0 / math.sqrt(2.0 * math.pi)
+
 # closed-form autocorrelation for the unit square with an isotropic Gaussian:
 # the integral factorizes per axis into
 #   F(r) = erf(r / (sigma sqrt(2))) - (2 sigma / (r sqrt(2 pi))) (1 - e^{-r^2/(2 sigma^2)})
@@ -48,6 +51,12 @@ def _disc_autocorr(sigma, a, r):
     value, _ = quad(integrand, 0.0, min(2.0 * a * r, 40.0 * sigma), limit=200,
                     epsabs=1e-14, epsrel=1e-13)
     return value
+
+
+def _at_width(q, r, sigma):
+    """The autocorrelation for a Gaussian density of width ``sigma``: by the
+    width law, the fixed density's value at scale ``r * SIGMA_0 / sigma``."""
+    return tc.autocorr_integral(q, r * SIGMA_0 / sigma)
 
 
 def _count_calls(monkeypatch, cls):
@@ -264,14 +273,17 @@ def test_hs_error_rate_needs_scales():
         tc.hs_error_rate(report)
 
 
-# -- densities ---------------------------------------------------------------
+# -- the density -------------------------------------------------------------
 
 
-def test_gaussian_density_values():
-    d = tc.GaussianDensity(sigma=0.5)
-    assert d(0.0, 0.0) == pytest.approx(1.0 / (2.0 * math.pi * 0.25))
-    with pytest.raises(tc.DomainError):
-        tc.GaussianDensity(sigma=0.0)
+def test_standard_density_is_self_dual():
+    # the density is e^{-pi |u|^2}: 2 pi sigma^2 = 1, and its marginal
+    # distribution function integrates e^{-pi t^2}
+    assert scaling._SIGMA == pytest.approx(SIGMA_0, rel=1e-15)
+    for z in (-1.0, 0.0, 0.25, 1.0):
+        expect, _ = quad(lambda t: math.exp(-math.pi * t * t), -10.0, z,
+                         epsabs=1e-14, epsrel=1e-13)
+        assert scaling._cdf(z) == pytest.approx(expect, rel=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -283,122 +295,104 @@ def test_mass_on_polygon_matches_quadrature(centre):
     # the right triangle (0, 0), (1.2, 0), (0, 0.8), integrated over x and
     # then y below the hypotenuse; a centre on the hypotenuse or a vertex puts
     # h = 0 on the edges through it
-    d = tc.standard_density()
     cx, cy = centre
     vx, vy = np.array([0.0, 1.2, 0.0]), np.array([0.0, 0.0, 0.8])
-    expect, _ = dblquad(lambda y, x: float(d(x - cx, y - cy)), 0.0, 1.2,
-                        0.0, lambda x: 0.8 * (1.0 - x / 1.2), epsabs=1e-13, epsrel=1e-12)
-    ccw = d.mass_on_polygon(vx - cx, vy - cy)
-    cw = d.mass_on_polygon(vx[::-1] - cx, vy[::-1] - cy)
+    expect, _ = dblquad(lambda y, x: math.exp(-math.pi * ((x - cx) ** 2 + (y - cy) ** 2)),
+                        0.0, 1.2, 0.0, lambda x: 0.8 * (1.0 - x / 1.2),
+                        epsabs=1e-13, epsrel=1e-12)
+    ccw = scaling._polygon_mass(vx - cx, vy - cy)
+    cw = scaling._polygon_mass(vx[::-1] - cx, vy[::-1] - cy)
     assert ccw == pytest.approx(expect, abs=1e-12)
     assert cw == pytest.approx(expect, abs=1e-12)
 
 
-def test_standard_density_is_self_dual():
-    d = tc.standard_density()
-    assert d.sigma == pytest.approx(tc.SELF_DUAL_SIGMA)
-    for x, y in [(0.0, 0.0), (0.5, 0.25), (1.0, -1.0)]:
-        assert d(x, y) == pytest.approx(math.exp(-math.pi * (x * x + y * y)), rel=1e-12)
-
-
 def test_autocorr_frozen_oracle():
     square = tc.Rect(0.0, 1.0, 0.0, 1.0)
-    d = tc.standard_density()
     for r, frozen in FROZEN_SELF_DUAL.items():
-        assert _square_autocorr(tc.SELF_DUAL_SIGMA, r) == pytest.approx(
-            frozen, abs=1e-12
-        )
-        assert tc.autocorr_integral(d, square, r) == pytest.approx(frozen, abs=1e-3)
+        assert _square_autocorr(SIGMA_0, r) == pytest.approx(frozen, abs=1e-12)
+        assert tc.autocorr_integral(square, r) == pytest.approx(frozen, abs=1e-3)
 
 
 def test_autocorr_wide_density_oracle():
     square = tc.Rect(0.0, 1.0, 0.0, 1.0)
-    d = tc.GaussianDensity(sigma=1.0)
     assert _square_autocorr(1.0, 16.0) == pytest.approx(0.902751225885453, abs=1e-12)
-    assert tc.autocorr_integral(d, square, 16.0) == pytest.approx(
-        0.902751225885453, abs=1e-3
-    )
+    assert _at_width(square, 16.0, 1.0) == pytest.approx(0.902751225885453, abs=1e-3)
 
 
 def test_autocorr_near_delta():
     # sharply peaked density: inner mass ~ 1 for interior points, value ~ |Q|
     square = tc.Rect(0.0, 1.0, 0.0, 1.0)
-    v = tc.autocorr_integral(tc.GaussianDensity(sigma=0.01), square, 1.0)
+    assert _square_autocorr(0.01, 1.0) == pytest.approx(0.984105970761179, abs=1e-12)
+    v = _at_width(square, 1.0, 0.01)
     assert v == pytest.approx(0.984105970761179, abs=1e-3)
     assert abs(v - 1.0) < 0.02
 
 
 def test_autocorr_monotone_in_r():
     square = tc.Rect(0.0, 1.0, 0.0, 1.0)
-    d = tc.standard_density()
-    vals = [tc.autocorr_integral(d, square, r) for r in (2.0, 4.0, 8.0, 16.0)]
+    vals = [tc.autocorr_integral(square, r) for r in (2.0, 4.0, 8.0, 16.0)]
     assert all(b > a for a, b in zip(vals, vals[1:]))
     assert all(v <= 1.0 + 1e-6 for v in vals)
 
 
 def test_autocorr_translation_invariant():
-    d = tc.standard_density()
-    a = tc.autocorr_integral(d, tc.Rect(0.0, 1.0, 0.0, 1.0), 4.0)
-    b = tc.autocorr_integral(d, tc.Rect(-0.5, 0.5, -0.5, 0.5), 4.0)
+    a = tc.autocorr_integral(tc.Rect(0.0, 1.0, 0.0, 1.0), 4.0)
+    b = tc.autocorr_integral(tc.Rect(-0.5, 0.5, -0.5, 0.5), 4.0)
     assert a == pytest.approx(b, rel=1e-10)
 
 
 def test_autocorr_empty_region():
-    d = tc.standard_density()
-    assert tc.autocorr_integral(d, tc.Rect(0.0, 0.0, 0.0, 1.0), 2.0) == 0.0
+    assert tc.autocorr_integral(tc.Rect(0.0, 0.0, 0.0, 1.0), 2.0) == 0.0
 
 
 def test_autocorr_validation():
-    d = tc.standard_density()
     with pytest.raises(tc.DomainError):
-        tc.autocorr_integral(d, tc.Rect(0.0, 1.0, 0.0, 1.0), 0.0)
+        tc.autocorr_integral(tc.Rect(0.0, 1.0, 0.0, 1.0), 0.0)
 
 
 def test_autocorr_square_routes_match_rect():
     # the unit square as a polygon in either orientation and as a 4 x 5 cell
     # mask: the same outer lattice, an exact inner mass on every route
-    d = tc.standard_density()
     corners = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     tiling = tc.Mask((np.arange(4) + 0.5) / 4, (np.arange(5) + 0.5) / 5,
                      np.ones((4, 5), dtype=bool))
     for r in (1.0, 4.0, 16.0):
-        exact = tc.autocorr_integral(d, tc.Rect(0.0, 1.0, 0.0, 1.0), r)
+        exact = tc.autocorr_integral(tc.Rect(0.0, 1.0, 0.0, 1.0), r)
         for q in (tc.Polygon(corners), tc.Polygon(corners[::-1]), tiling):
-            assert tc.autocorr_integral(d, q, r) == pytest.approx(exact, abs=1e-12)
+            assert tc.autocorr_integral(q, r) == pytest.approx(exact, abs=1e-12)
 
 
 def test_autocorr_l_shape_mask_matches_polygon():
     # three cells of a 2 x 2 mask against the same L traced as a polygon
-    d = tc.standard_density()
     mask = tc.Mask([0.25, 0.75], [0.25, 0.75], np.array([[True, True], [True, False]]))
     poly = tc.Polygon([(0.0, 0.0), (1.0, 0.0), (1.0, 0.5), (0.5, 0.5), (0.5, 1.0),
                        (0.0, 1.0)])
     assert mask.area() == poly.area() == 0.75
     for r in (2.0, 8.0):
-        assert tc.autocorr_integral(d, mask, r) == pytest.approx(
-            tc.autocorr_integral(d, poly, r), abs=1e-12
+        assert tc.autocorr_integral(mask, r) == pytest.approx(
+            tc.autocorr_integral(poly, r), abs=1e-12
         )
 
 
 @pytest.mark.parametrize(
     "sigma, center, radius",
     [
-        (tc.SELF_DUAL_SIGMA, (0.0, 0.0), 0.6),
-        (tc.SELF_DUAL_SIGMA, (0.25, -0.4), 0.6),
-        (tc.SELF_DUAL_SIGMA, (1.0, 0.5), 0.75),
+        (SIGMA_0, (0.0, 0.0), 0.6),
+        (SIGMA_0, (0.25, -0.4), 0.6),
+        (SIGMA_0, (1.0, 0.5), 0.75),
         (1.0, (0.0, 0.0), 0.6),
-        (tc.SELF_DUAL_SIGMA, (0.0, 0.0), 1.3),
-        (tc.SELF_DUAL_SIGMA, (-0.2, 0.3), 1.5),
+        (SIGMA_0, (0.0, 0.0), 1.3),
+        (SIGMA_0, (-0.2, 0.3), 1.5),
         (0.05, (0.0, 0.0), 1.3),
     ],
 )
 def test_autocorr_disc_lens_oracle(sigma, center, radius):
     # the closed form against the lens-area integral, which shares no formula
-    # with it: both are exact, so only the quadrature's rounding separates them
-    d = tc.GaussianDensity(sigma=sigma)
+    # with it: both are exact, so only the quadrature's rounding separates
+    # them.  A width other than SIGMA_0 checks the width law as well.
     q = tc.Disc(center, radius)
     for r in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 64.0, 256.0):
-        assert tc.autocorr_integral(d, q, r) == pytest.approx(
+        assert _at_width(q, r, sigma) == pytest.approx(
             _disc_autocorr(sigma, radius, r), rel=1e-11
         )
 
@@ -407,29 +401,28 @@ def test_autocorr_disc_two_term_limit():
     # area - value ~ 2 pi R sigma / (sqrt(2 pi) r) + O(r^-2): the boundary
     # term of the two-term law; the next term is 1 / (8 X) relative to it,
     # X = (r R / sigma)^2, ~1e-6 at r R / sigma ~ 385
-    d = tc.standard_density()
     q = tc.Disc((0.0, 0.0), 1.2)
     r = 128.0
-    assert r * q.radius / d.sigma == pytest.approx(385.0, rel=1e-3)
-    deficit = r * (q.area() - tc.autocorr_integral(d, q, r))
-    expect = 2.0 * math.pi * q.radius * d.sigma / math.sqrt(2.0 * math.pi)
+    assert r * q.radius / SIGMA_0 == pytest.approx(385.0, rel=1e-3)
+    deficit = r * (q.area() - tc.autocorr_integral(q, r))
+    expect = 2.0 * math.pi * q.radius * SIGMA_0 / math.sqrt(2.0 * math.pi)
     assert deficit == pytest.approx(expect, rel=1e-5)
 
 
 def test_autocorr_disc_extremes():
-    d = tc.GaussianDensity(sigma=1.0)
+    sigma = 1.0
     q = tc.Disc((0.3, -0.1), 2.0)
     area = q.area()
     # r R / sigma = 1e6: finite (ive would give nan past ~3.3e4) and at most
     # the area
-    far = tc.autocorr_integral(d, q, 5e5)
+    far = _at_width(q, 5e5, sigma)
     assert math.isfinite(far) and 0.0 < far <= area
     # X overflows to inf: the whole area
-    assert tc.autocorr_integral(d, q, 1e300) == area
+    assert _at_width(q, 1e300, sigma) == area
     # small X: 1 - e^-X (I0 + I1) = X / 2 + O(X^2)
     for r in (1e-9, 1e-8, 1e-7):
-        x = (r * q.radius / d.sigma) ** 2
-        assert abs(tc.autocorr_integral(d, q, r) - area * x / 2.0) <= 1e-15 * area
+        x = (r * q.radius / sigma) ** 2
+        assert abs(_at_width(q, r, sigma) - area * x / 2.0) <= 1e-15 * area
 
 
 def _disc_bracket_series(x):
@@ -444,45 +437,43 @@ def _disc_bracket_series(x):
 
 
 def test_autocorr_disc_small_scales():
-    d = tc.GaussianDensity(sigma=1.0)
+    sigma = 1.0
     q = tc.Disc((0.0, 0.0), 2.0)
     area = q.area()
 
     def value_and_x(r):
-        return tc.autocorr_integral(d, q, r), (r * q.radius / d.sigma) ** 2
+        return _at_width(q, r, sigma), (r * q.radius / sigma) ** 2
 
     # r R / sigma = 1e-9, where the closed form alone went negative
-    assert tc.autocorr_integral(d, q, 0.5e-9) > 0.0
+    assert _at_width(q, 0.5e-9, sigma) > 0.0
     for r in np.geomspace(5e-7, 5e-4, 7):  # X from 1e-12 to 1e-6
         value, x = value_and_x(r)
         assert value == pytest.approx(area * (x / 2 - x**2 / 4 + 5 * x**3 / 48), rel=1e-12)
     # either side of the switch, both branches against the summed series
     switch = scaling._DISC_SERIES_X
-    for r in np.geomspace(0.25, 4.0, 41) * math.sqrt(switch) * d.sigma / q.radius:
+    for r in np.geomspace(0.25, 4.0, 41) * math.sqrt(switch) * sigma / q.radius:
         value, x = value_and_x(r)
         assert value == pytest.approx(area * _disc_bracket_series(x), rel=1e-12)
     # and the two branches at the switch itself
-    below, x = value_and_x(math.sqrt(switch) * d.sigma / q.radius * (1.0 - 1e-12))
+    below, x = value_and_x(math.sqrt(switch) * sigma / q.radius * (1.0 - 1e-12))
     assert x < switch
     closed = area * (1.0 - i0e(switch) - i1e(switch))
     assert below == pytest.approx(closed, rel=1e-11)
 
 
 def test_autocorr_disc_translation_invariant():
-    d = tc.standard_density()
     for r in (2.0, 8.0):
-        a = tc.autocorr_integral(d, tc.Disc((0.0, 0.0), 0.7), r)
-        b = tc.autocorr_integral(d, tc.Disc((-1.3, 0.45), 0.7), r)
+        a = tc.autocorr_integral(tc.Disc((0.0, 0.0), 0.7), r)
+        b = tc.autocorr_integral(tc.Disc((-1.3, 0.45), 0.7), r)
         assert a == b
 
 
 def test_autocorr_disc_route_tests_no_points(monkeypatch):
     # structural guard: the disc's closed form samples nothing
     sizes = _count_calls(monkeypatch, tc.Disc)
-    d = tc.standard_density()
     q = tc.Disc((0.2, 0.1), 0.6)
     for r in (2.0, 16.0):
-        tc.autocorr_integral(d, q, r)
+        tc.autocorr_integral(q, r)
     assert sizes == []
 
 
@@ -497,14 +488,13 @@ def test_autocorr_exact_routes_test_points_once(monkeypatch, cls):
     }
     for r in (2.0, 16.0):
         sizes.clear()
-        tc.autocorr_integral(tc.standard_density(), regions[cls], r)
+        tc.autocorr_integral(regions[cls], r)
         assert sizes == [128 * 128]
 
 
 def test_decay_condition_gaussian_tail():
     # self-dual density tail over the disc of radius r is exactly e^{-pi r^2}
-    d = tc.standard_density()
-    rows = tc.decay_condition_margins(d, 4.0, 1.0, [1.0, 2.0, 3.0])
+    rows = tc.decay_condition_margins(4.0, 1.0, [1.0, 2.0, 3.0])
     for row in rows:
         assert row["tail"] == pytest.approx(math.exp(-math.pi * row["r"] ** 2), rel=1e-12)
         assert row["ok"]
@@ -512,9 +502,17 @@ def test_decay_condition_gaussian_tail():
 
 def test_decay_condition_binding_radius():
     # with a small constant the bound binds at small r and relaxes at large r
-    d = tc.standard_density()
-    rows = tc.decay_condition_margins(d, 1.0, 0.01, [0.1, 3.0])
+    rows = tc.decay_condition_margins(1.0, 0.01, [0.1, 3.0])
     assert not rows[0]["ok"]
     assert rows[1]["ok"]
     with pytest.raises(tc.DomainError):
-        tc.decay_condition_margins(d, 1.0, 1.0, [0.0])
+        tc.decay_condition_margins(1.0, 1.0, [0.0])
+
+
+def test_decay_condition_fails_a_tail_below_any_absolute_slack():
+    # p = 30, C = 1 at r = 3: the tail e^{-9 pi} = 5.3e-13 is over 100 times
+    # the bound 3^-30 = 4.9e-15, though both are below 1e-12
+    (row,) = tc.decay_condition_margins(30.0, 1.0, [3.0])
+    assert row["tail"] > 100.0 * row["bound"]
+    assert row["tail"] < 1e-12
+    assert not row["ok"]
