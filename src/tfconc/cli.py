@@ -144,6 +144,8 @@ def _parse_window_spec(text: str) -> tuple[str, float, str | None]:
             c = float(raw)
         except ValueError as exc:
             raise ConfigError(f"bad gaussian parameter {rest!r}") from exc
+        if not math.isfinite(c):
+            raise ConfigError(f"gaussian parameter must be finite, got {c}")
         if c <= 0:
             raise ConfigError(f"gaussian parameter must be positive, got {c}")
         return "gaussian", c, None
@@ -341,6 +343,9 @@ def cmd_autocorr(opt: dict, out: Path, tag: str) -> int:
     if (opt["p"] is None) != (opt["c"] is None):
         missing = "--p" if opt["p"] is None else "--C"
         raise ConfigError(f"the decay condition needs both --p and --C; {missing} is missing")
+    for flag, key in (("--p", "p"), ("--C", "c")):
+        if opt[key] is not None and not math.isfinite(opt[key]):
+            raise ConfigError(f"{flag} must be finite, got {opt[key]}")
     q = parse_region(opt["region"])
     scales = _parse_scales(opt["scales"])
     rows = [(r, autocorr_integral(q, r)) for r in scales]

@@ -49,6 +49,8 @@ class SampleGrid:
             raise ValueError(f"need at least 2 samples, got n={self.n}")
         if not self.dt > 0:
             raise ValueError(f"sample step must be positive, got dt={self.dt}")
+        if not math.isfinite(self.dt):
+            raise ValueError(f"sample step must be finite, got {self.dt}")
         object.__setattr__(self, "t_start", -(self.n - 1) * self.dt / 2.0)
 
     @property

@@ -38,8 +38,13 @@ _HERMITIAN_TOL = 1e-12
 _EIG_RANGE_TOL = 1e-8
 #: entries within this relative distance of a column's largest modulus tie
 _PHASE_TIE = 1e-6
-#: window samples at or below this fraction of the peak lie outside a row's support
+#: window samples at or below this fraction of the peak lie outside a row's
+#: support, and lag products at or below it of the squared peak outside the
+#: kernel's
 _SUPPORT_TOL = 1e-17
+#: a request for at least 1/24 of a tridiagonal block's eigenvectors takes all
+#: of them by divide and conquer (see :func:`_tridiagonal_vectors`)
+_DC_SHARE = 24
 #: phase_space_matrix beyond this many cells needs gigabytes (cells**2 entries)
 _CELL_CAP = 4096
 #: bytes that assembly's n x n matrix and the eigensolver's working copy may
@@ -130,28 +135,33 @@ def assemble(
     ``M[a, a - l] = sum_i D_i(l) g(a + s_i) conj(g(a - l + s_i))``.  The shifts
     ``s_i`` are consecutive (the tau step is ``dt``), so for each lag this is
     a correlation over rows of ``D_.(l)`` with ``g(u) conj(g(u - l))``.  Only
-    the lags ``0 <= l < width`` of the window's support (samples above
-    ``1e-17 * max|w|``) are needed: the row kernels at exactly those lags
-    come from one GEMM of the cell counts against a table of roots of unity
-    (see :func:`_row_kernels`), cost ``rows * sigma_cols * width``, and all
-    of them are correlated in one batched FFT of length
-    ``L >= rows + width - 1``, cost about ``width * L log L``, against
-    ``rows * width**2`` for adding one outer-product block per row.  Each
-    lower diagonal is written with its exact conjugate above, and only where
-    some active row's shifted window covers both samples, so entries outside
-    that support band are exact zeros; inside it the error is absolute
-    rounding of the GEMM and the FFT, about ``1e-15 * max|M|``.  The diagonal (lag 0) is summed
-    directly from exact cell counts, which keeps the trace on the raster
-    area.  This is algebraically the column-by-column analyze -> mask ->
-    synthesize composition, reorganized.
+    the lags of the kernel's support are needed: ``0 <= l < lags``, up to the
+    last lag at which some product ``|g(u) g(u - l)|`` exceeds
+    ``1e-17 * max|g|**2`` (the window's own support, its samples above
+    ``1e-17 * max|g|``, is ``width >= lags`` samples wide; the gaussian's
+    kernel falls like ``exp(-pi l**2 dt**2 / 2)`` and needs about 5 time
+    units of lags where its support is 7, the triangle's needs all of them).
+    The row kernels at exactly those lags come from one GEMM of the cell
+    counts against a table of roots of unity (see :func:`_row_kernels`), cost
+    ``rows * sigma_cols * lags``, and all of them are correlated in one
+    batched FFT of length ``L >= rows + width - 1``, cost about
+    ``lags * L log L``, against ``rows * width**2`` for adding one
+    outer-product block per row.  Each lower diagonal is written with its
+    exact conjugate above, and only where some active row's shifted window
+    covers both samples; entries outside the kernel's support are exact
+    zeros, and inside it the error is absolute rounding of the GEMM and the
+    FFT, about ``1e-15 * max|M|``.  The diagonal (lag 0) is summed directly
+    from exact cell counts, which keeps the trace on the raster area.  This
+    is algebraically the column-by-column analyze -> mask -> synthesize
+    composition, reorganized.
 
     The matrix is real, and stored as float64, exactly when the window
     samples have no nonzero imaginary part and the raster is mirror-symmetric
     about ``sigma = 0`` (the sigma values equal their negated reverse and the
     weights their sigma-reverse): then every ``D_i(l)`` is real, so the row
-    kernels come from a table of cosines, the lag correlation runs on
-    ``rfft``/``irfft`` and the matrix takes half the storage.  The rule is
-    exact; no tolerance on ``Im M`` enters it.
+    kernels come from a table of cosines over half the sigma columns, the lag
+    correlation runs on ``rfft``/``irfft`` and the matrix takes half the
+    storage.  The rule is exact; no tolerance on ``Im M`` enters it.
 
     ``oracle=True`` instead sums ``weight * outer(g_c, conj(g_c))`` over raster
     cells with ``g_c`` the explicitly shifted window -- the direct quadrature
@@ -195,8 +205,8 @@ def _require_matrix_budget(n: int) -> None:
 
 def _assemble_fast(window: Window, raster: RasterizedRegion) -> np.ndarray:
     """The lag-by-lag assembly of :func:`assemble`: the row kernels at the
-    support's ``width`` lags only (:func:`_row_kernels`, cost
-    ``rows * sigma_cols * width``), one FFT correlation over rows for every
+    kernel's ``lags`` lags only (:func:`_row_kernels`, cost
+    ``rows * sigma_cols * lags``), one FFT correlation over rows for every
     lag, the diagonal from exact cell counts, and each lower diagonal written
     with its conjugate inside the support band.  float64 when
     :func:`_mirror_symmetric`, complex128 otherwise."""
@@ -224,15 +234,18 @@ def _assemble_fast(window: Window, raster: RasterizedRegion) -> np.ndarray:
 
     # M[a, a - l] = sum_k D_k(l) P_l(a + s0 + k) with P_l(u) = g(u) conj(g(u - l)):
     # per lag l, a correlation over rows of the row kernels D_k with the lag
-    # product P_l
-    lags = np.arange(width)
-    kernels = _row_kernels(cells, pg, width, real)
-    fft, ifft = np.fft.fft, np.fft.ifft
+    # product P_l, kept up to the last lag with a product above the tolerance
     if real:
         support = support.real
-        fft, ifft = np.fft.rfft, np.fft.irfft
-    back = lags[None, :] - lags[:, None]  # [l, v] -> v - l
+    offsets = np.arange(width)
+    back = offsets[None, :] - offsets[:, None]  # [l, v] -> v - l
     products = np.where(back >= 0, support * support.conj()[np.maximum(back, 0)], 0)
+    peak = np.abs(support).max()
+    above = np.abs(products).max(axis=1) > _SUPPORT_TOL * peak * peak
+    lags = int(np.nonzero(above)[0][-1]) + 1
+    products = products[:lags]
+    kernels = _row_kernels(cells, pg, lags, real)
+    fft, ifft = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
     size = n_rows + width - 1
     fft_len = _fast_length(size)
     spec = fft(kernels[::-1].T, fft_len) * fft(products, fft_len)
@@ -257,7 +270,7 @@ def _assemble_fast(window: Window, raster: RasterizedRegion) -> np.ndarray:
         last = np.maximum.accumulate(np.where(active[span], np.arange(n_rows), -1))
         reach = v + last[np.clip(width - v, 1, n_rows) - 1]
     flat = out.reshape(-1)
-    for lag in range(width):
+    for lag in range(lags):
         lo, hi = max(lag, lag + 1 - n_rows - c), min(n, width - c)
         if lo >= hi:
             continue
@@ -273,32 +286,42 @@ def _assemble_fast(window: Window, raster: RasterizedRegion) -> np.ndarray:
 
 
 def _row_kernels(
-    cells: np.ndarray, pg: PhaseGrid, width: int, real: bool
+    cells: np.ndarray, pg: PhaseGrid, count: int, real: bool
 ) -> np.ndarray:
     """Row kernels ``D_k(l) = sum_j w_kj exp(2 pi i sigma_j l dt)`` at the lags
-    ``0 <= l < width``, with ``w = cell_area * cells``: one GEMM of the cell
+    ``0 <= l < count``, with ``w = cell_area * cells``: one GEMM of the cell
     counts against a gathered root-of-unity table.
 
     The sigma step is one bin of the n-point DFT, so the term of
     ``sigma_j = sigma_0 + j / (n dt)`` is ``exp(2 pi i sigma_0 l dt)`` times
     ``omega^(j l mod n)`` with ``omega = exp(2 pi i / n)``.  On a mirrored
     sigma grid (``m`` values ``(2 j - m + 1) / (2 n dt)``, weights equal to
-    their sigma-reverse) the terms pair into conjugates and ``D_k(l)`` is the
-    real sum over ``cos(pi ((2 j - m + 1) l mod 2n) / n)``.  The exponents are
-    reduced into one period before the table lookup, so no entry is
-    evaluated at an argument past ``2 pi``.  Costs ``rows * m * width``; the
-    GEMM is scipy's ``dgemm``, on the complex table viewed as interleaved
-    real pairs.
+    their sigma-reverse) the terms pair into conjugates, and ``D_k(l)`` is
+    the real sum over the first ``ceil(m / 2)`` columns of
+    ``(w_kj + w_k,m-1-j) cos(pi ((2 j - m + 1) l mod 2n) / n)``, the middle
+    column of an odd ``m`` counted once: half the table and half the GEMM.
+    The exponents are reduced into one period before the table lookup, so no
+    entry is evaluated at an argument past ``2 pi``.  Costs
+    ``rows * m * count`` (half that on the real path); the GEMM is scipy's
+    ``dgemm``, on the complex table viewed as interleaved real pairs.
     """
     n, m = pg.grid.n, cells.shape[1]
-    j, lags = np.arange(m)[:, None], np.arange(width)
+    lags = np.arange(count)
     if real:
+        half = m - m // 2
+        # column j plus its mirror m-1-j; an odd m's middle column is its own
+        # mirror, doubled by the sum and halved back (both exact)
+        cells = cells[:, :half] + cells[:, m - half :][:, ::-1]
+        if m % 2:
+            cells[:, -1] *= 0.5
+        j = np.arange(half)[:, None]
         table = np.cos(np.pi / n * np.arange(2 * n))[((2 * j - m + 1) * lags) % (2 * n)]
     else:
+        j = np.arange(m)[:, None]
         table = np.exp(2j * np.pi / n * np.arange(n))[(j * lags) % n]
     # the transposes of C-ordered operands are Fortran-ordered, so dgemm
     # copies neither, and its Fortran-ordered product transposes back into a
-    # C-ordered (rows, width) array
+    # C-ordered (rows, count) array
     kernels = blas.dgemm(pg.cell_area, table.view(np.float64).T, cells.T).T
     if real:
         return kernels
@@ -351,15 +374,18 @@ def eigendecompose(
     ``vectors`` is the number of leading eigenfunctions to compute, or a
     function of the descending eigenvalues that returns it; None computes all
     ``n``.  One Householder reduction to real tridiagonal form serves both
-    halves: ``dsterf`` gives every eigenvalue, and the MRRR solver ``dstemr``
-    gives only the eigenvectors in the leading index range, at ``O(n k)``
-    cost, before the reflectors carry them back.  The chain follows the
-    matrix dtype: a float64 matrix (see :func:`assemble`) is reduced by
-    ``dsytrd`` and back-transformed by ``dormqr``, in real arithmetic, and
-    gets real eigenfunctions; a complex one goes through ``zhetrd`` and
-    ``zunmqr``.  No ``n x n`` eigenvector matrix is formed unless all are
-    asked for.  The dense linear algebra goes through ``scipy.linalg`` only,
-    so one OpenBLAS library runs on the operator path.
+    halves: ``dsterf`` gives every eigenvalue, and the tridiagonal solver
+    gives the leading eigenvectors before the reflectors carry them back --
+    divide and conquer (``dstevd``, all of them) when ``k`` is at least a
+    24th of the block, else the MRRR solver ``dstemr`` on the leading index
+    range only, at ``O(n k)`` cost (see :func:`_tridiagonal_vectors`).  The
+    chain follows the matrix dtype: a float64 matrix (see :func:`assemble`)
+    is reduced by ``dsytrd`` and back-transformed by ``dormqr``, in real
+    arithmetic, and gets real eigenfunctions; a complex one goes through
+    ``zhetrd`` and ``zunmqr``.  No ``n x n`` eigenvector matrix is formed
+    unless all are asked for.  The dense linear algebra goes through
+    ``scipy.linalg`` only, so one OpenBLAS library runs on the operator
+    path.
 
     Parity split: an even window on a region that maps to itself under
     ``(tau, sigma) -> (-tau, -sigma)`` gives an operator that commutes with
@@ -380,16 +406,20 @@ def eigendecompose(
     Eigenvalues are returned raw and descending; they must land in
     ``[-1e-8, 1 + 1e-8]`` or a NumericalError is raised (the discrete operator
     is PSD and norm-bounded by one, so anything worse means a broken matrix),
-    as is a matrix that is not Hermitian or a LAPACK failure.  Eigenfunctions
-    have unit grid norm and a canonical phase: the first entry within a
+    as is a matrix that is not Hermitian or a LAPACK failure.  The Hermitian
+    and parity checks are relative to ``dt`` times the largest diagonal
+    modulus (read in ``O(n)``), which for a PSD matrix is its largest
+    modulus; for any other matrix it is at most that, so the checks only get
+    stricter.  Eigenfunctions have unit grid norm and a canonical phase: the first entry within a
     relative 1e-6 of the largest modulus is real and positive (for real
     eigenfunctions the phase is a sign).  Inside a near-degenerate cluster
     the basis itself still depends on rounding, and it differs between the
-    split, the real and the complex chain.
+    split, the real and the complex chain, and between the two tridiagonal
+    solvers.
     """
     n = op.grid.n
     dt = op.grid.dt
-    tol = _HERMITIAN_TOL * max(1.0, dt * _peak(op.matrix))
+    tol = _HERMITIAN_TOL * max(1.0, dt * float(np.abs(op.matrix.diagonal()).max()))
     if not _exactly_hermitian(op.matrix):
         herm_gap = dt * float(np.abs(op.matrix - op.matrix.conj().T).max())
         if herm_gap > tol:
@@ -548,9 +578,9 @@ class _Reduced:
         self._reflectors, self._diag, self._off, self._tau = _lapack_ok(
             trd, *getattr(lapack, trd)(block, lower=1, lwork=lwork, overwrite_a=1)
         )
-        # the dsterf wrapper wants an off-diagonal of length max(1, n - 1)
-        off = self._off if len(self._off) else np.zeros(1)
-        self.values = _lapack_ok("dsterf", *lapack.dsterf(self._diag, off))[::-1]
+        self.values = _lapack_ok(
+            "dsterf", *lapack.dsterf(self._diag, _padded(self._off))
+        )[::-1]
 
     def leading(self, k: int) -> np.ndarray:
         """The block's leading ``k`` eigenvectors, descending, unit 2-norm."""
@@ -578,29 +608,45 @@ def _tridiagonal_vectors(
     diag: np.ndarray, off: np.ndarray, vals: np.ndarray, k: int
 ) -> np.ndarray:
     """Eigenvectors of the leading ``k`` of ``vals`` (descending) for the real
-    tridiagonal matrix ``diag``/``off``, by MRRR (``dstemr``), descending.
+    tridiagonal matrix ``diag``/``off``, descending.
 
-    The index range reaches one past the wanted ones: an MRRR vector at the
+    A request for at least a 24th of the block (``24 k >= n``, all-n requests
+    included) takes every vector from divide and conquer (``dstevd``) and
+    keeps the leading ``k``; a smaller one takes only the leading index range
+    from MRRR (``dstemr``).  The crossover comes from a ladder of parity
+    blocks of gaussian and triangle discs (sizes 46-437) and whole blocks of
+    off-centre discs, ``k`` from 1 to the block size: across it the factor
+    24 wasted the least time against the faster solver of each case (5%,
+    against 8% for 16 and 6% for 32).  MRRR's cost depends on how the wanted
+    vectors sit in clusters, so no factor is best for every block: 32 vectors
+    of a 155 block took 1.9 ms by MRRR against 0.4 ms for all of them by
+    divide and conquer, 64 of a 705 block 0.75 ms against 4.1 ms.
+
+    The MRRR index range reaches one past the wanted ones: a vector at the
     range's lower edge can converge to the eigenvalue just outside it (seen
     with a single wanted index inside a cluster of width 1e-11), and that
-    vector is dropped.  Each kept vector's Rayleigh quotient must match its
-    eigenvalue in ``vals`` to ``n * eps`` (the backward error bound, the
-    operator's norm being at most one), else NumericalError.  The quotient
-    tests the vector itself; the eigenvalue MRRR reports alongside it can be
-    off by more (3.2e-14 on a well-separated eigenvalue of a 24 x 24 block
-    whose vector was exact).
+    vector is dropped.  Each kept vector's Rayleigh quotient, from either
+    solver, must match its eigenvalue in ``vals`` to ``n * eps`` (the
+    backward error bound, the operator's norm being at most one), else
+    NumericalError.  The quotient tests the vector itself; the eigenvalue
+    MRRR reports alongside it can be off by more (3.2e-14 on a
+    well-separated eigenvalue of a 24 x 24 block whose vector was exact).
     """
     n = len(diag)
-    want = min(n, k + 1)
-    # dstemr wants the off-diagonal padded to length n; the 1-based ascending
-    # index range n-want+1..n is the leading ``want``
-    stemr = (diag, np.append(off, 0.0), 2, 0.0, 1.0, n - want + 1, n)
-    lw, liw = _lapack_ok("dstemr_lwork", *lapack.dstemr_lwork(*stemr))
-    found, _, z = _lapack_ok(
-        "dstemr", *lapack.dstemr(*stemr, lwork=int(lw), liwork=int(liw))
-    )
-    if found != want:
-        raise NumericalError(f"dstemr returned {found} of {want} eigenvectors")
+    if _DC_SHARE * k >= n:
+        want = n
+        _, z = _lapack_ok("dstevd", *lapack.dstevd(diag, _padded(off)))
+    else:
+        want = k + 1
+        # dstemr wants the off-diagonal padded to length n; the 1-based
+        # ascending index range n-want+1..n is the leading ``want``
+        stemr = (diag, np.append(off, 0.0), 2, 0.0, 1.0, n - want + 1, n)
+        lw, liw = _lapack_ok("dstemr_lwork", *lapack.dstemr_lwork(*stemr))
+        found, _, z = _lapack_ok(
+            "dstemr", *lapack.dstemr(*stemr, lwork=int(lw), liwork=int(liw))
+        )
+        if found != want:
+            raise NumericalError(f"dstemr returned {found} of {want} eigenvectors")
     # ascending: the wanted columns are the last k
     z = z[:, want - k : want][:, ::-1]
     # T z, for each column's Rayleigh quotient z^T T z
@@ -609,8 +655,14 @@ def _tridiagonal_vectors(
     tz[1:] += off[:, None] * z[:-1]
     mismatch = float(np.abs(np.sum(z * tz, axis=0) - vals[:k]).max())
     if mismatch > n * np.finfo(np.float64).eps:
-        raise NumericalError(f"dstemr eigenvectors off their eigenvalues by {mismatch:.2e}")
+        raise NumericalError(f"tridiagonal eigenvectors off their eigenvalues by {mismatch:.2e}")
     return z
+
+
+def _padded(off: np.ndarray) -> np.ndarray:
+    """The off-diagonal as the ``dsterf`` and ``dstevd`` wrappers take it, of
+    length ``max(1, n - 1)``: a block of size 1 gets one zero."""
+    return off if len(off) else np.zeros(1)
 
 
 def _lapack_ok(name: str, *outputs):

@@ -331,8 +331,8 @@ def autocorr_integral(q: Region, r: float) -> float:
     the marginal mass of cell column ``i`` seen from ``eta_x[p]``.  The value
     can never exceed ``area(Q)`` since each inner mass is at most 1.
     """
-    if not r > 0:
-        raise DomainError(f"scale r must be positive, got {r}")
+    if not 0 < r < math.inf:
+        raise DomainError(f"scale r must be positive and finite, got {r}")
     area = q.area()
     if area == 0.0:
         return 0.0

@@ -654,9 +654,12 @@ def test_autocorr_decay_condition(tmp_path):
         (["autocorr", "--region", "mask {mask}"], "inf"),
         (["autocorr", "--scales", "2,inf"], "inf"),
         (["asymptotics", "--scales", "1,nan,2"], "nan"),
+        (["spectrum", "--grid", "101,inf"], "inf"),
+        (["spectrum", "--window", "gaussian:inf"], "inf"),
+        (["spectrum", "--window", "gaussian:nan"], "nan"),
     ],
     ids=["disc-radius", "disc-center", "rect", "poly", "mask", "autocorr-scale",
-         "asymptotics-scale"],
+         "asymptotics-scale", "grid-step", "gaussian-inf", "gaussian-nan"],
 )
 def test_non_finite_numbers_are_refused(tmp_path, capsys, argv, value):
     mask = tmp_path / "mask.csv"
@@ -665,6 +668,18 @@ def test_non_finite_numbers_are_refused(tmp_path, capsys, argv, value):
     assert main([*argv, "--out", str(tmp_path)]) == 2
     assert f"must be finite, got {value}" in capsys.readouterr().err
     assert not any(tmp_path.glob("*.json"))
+
+
+@pytest.mark.parametrize(
+    "p, C, flag", [("nan", "1", "--p"), ("1", "inf", "--C")], ids=["p-nan", "C-inf"]
+)
+def test_autocorr_refuses_non_finite_decay_condition(tmp_path, capsys, p, C, flag):
+    # unchecked, a nan p writes "bound": null and an infinite C passes every row
+    rc = main(["autocorr", "--scales", "2", "--p", p, "--C", C, "--out", str(tmp_path)])
+    assert rc == 2
+    value = p if flag == "--p" else C
+    assert f"{flag} must be finite, got {value}" in capsys.readouterr().err
+    assert not (tmp_path / "autocorr_report.json").exists()
 
 
 @pytest.mark.parametrize("given, missing", [("--p", "--C"), ("--C", "--p")])

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal
 from scipy.special import gammainc
 
 import tfconc as tc
@@ -167,11 +168,85 @@ def test_blocked_assembly_matches_dense_reference(
         width = kept[-1] + 1 - kept[0]
         real = family == "sweep"
         assert got.dtype == (np.float64 if real else np.complex128)
-        assert (m - 1) * (width - 1) >= (2 * n if real else n)
+        lags = _kernel_lags(window)
+        assert (m - 1) * (lags - 1) >= (2 * n if real else n)
         if real:
-            assert (n, width) == (213, 149)
+            assert (n, width, lags) == (213, 149, 105)
         else:
             assert m == n and raster.weights[:, 0].any()
+
+
+def _kernel_lags(window):
+    """One past the last lag ``l`` at which some product ``|g(u) g(u - l)|``
+    over the whole grid exceeds the support cut times ``max|g|**2``."""
+    s = np.abs(window.samples)
+    cut = operators._SUPPORT_TOL * s.max() ** 2
+    above = [l for l in range(len(s)) if np.max(s[l:] * s[: len(s) - l]) > cut]
+    return above[-1] + 1
+
+
+def _support_width(window):
+    s = np.abs(window.samples)
+    kept = np.nonzero(s > operators._SUPPORT_TOL * s.max())[0]
+    return int(kept[-1] + 1 - kept[0])
+
+
+@pytest.mark.parametrize(
+    "family, radius, lags, width",
+    [("gaussian", 6.0, 85, 121), ("gaussian", 9.0, 115, 163), ("triangle", 3.0, 45, 45)],
+)
+def test_lags_end_at_the_last_product_above_the_cut(family, radius, lags, width, monkeypatch):
+    # the gaussian's kernel ends about 5 time units out where its samples
+    # reach 7; the triangle's products reach as far as its support
+    region = tc.Disc((0.0, 0.0), radius)
+    window = tc.make_window(family, tc.auto_grid(family, region))
+    row_kernels, counts = operators._row_kernels, []
+
+    def spy(cells, pg, count, real):
+        counts.append(count)
+        return row_kernels(cells, pg, count, real)
+
+    monkeypatch.setattr(operators, "_row_kernels", spy)
+    tc.assemble(window, region)
+    assert counts == [_kernel_lags(window)] == [lags]
+    assert _support_width(window) == width
+
+
+def test_dropped_lags_of_a_gaussian_operator_are_negligible(gauss_window):
+    # entries past the kernel's lags are exact zeros, where the dense
+    # reference (every lag of every row) holds at most 1e-17 of max|M|
+    raster = _raster(gauss_window, tc.Disc((0.3, 0.0), 2.5))
+    got = tc.assemble(gauss_window, raster).matrix
+    want = _dense_reference(gauss_window, raster)
+    n, lags = gauss_window.grid.n, _kernel_lags(gauss_window)
+    assert lags < _support_width(gauss_window)
+    lag = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
+    dropped = lag >= lags
+    assert np.all(got[dropped] == 0)
+    assert np.abs(want[dropped & (lag < _support_width(gauss_window))]).max() > 0
+    assert np.abs(want[dropped]).max() <= 1e-17 * np.abs(want).max()
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("m", [7, 8])
+def test_folded_row_kernels_match_cosine_sum(gauss_grid, m, rng):
+    # on a mirrored sigma grid the real kernels fold the columns j and
+    # m-1-j onto one cosine; an odd m's middle column counts once
+    n, count = gauss_grid.n, 40
+    sigmas = gauss_grid.dsigma * (np.arange(m) - (m - 1) / 2)
+    assert np.array_equal(sigmas, -sigmas[::-1])
+    pg = tc.PhaseGrid(gauss_grid, [0.0, gauss_grid.dt, 2 * gauss_grid.dt], sigmas)
+    cells = rng.uniform(0.0, 1.0, (3, m))
+    cells = cells + cells[:, ::-1]
+    got = operators._row_kernels(cells, pg, count, True)
+    lags = np.arange(count)
+    cosines = np.cos(2 * np.pi * np.outer(sigmas, lags) * gauss_grid.dt)
+    want = pg.cell_area * cells @ cosines
+    assert got.shape == (3, count)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.abs(want).max()
+    # the complex table on the same cells gives the same kernels
+    full = operators._row_kernels(cells, pg, count, False)
+    assert np.max(np.abs(full - want)) <= 1e-14 * np.abs(want).max()
 
 
 def test_triangle_zero_outside_support_blocks(tri_window):
@@ -933,6 +1008,97 @@ def test_stray_mrrr_vector_is_caught():
     assert got.shape == (3, 2)
     with pytest.raises(tc.NumericalError, match="off their eigenvalues"):
         operators._tridiagonal_vectors(diag, off, np.array([0.95, 0.9, 0.5]), 1)
+
+
+def _spy_tridiagonal_solvers(monkeypatch):
+    """The names of the LAPACK tridiagonal vector solvers called, in order."""
+    called = []
+    for name in ("dstevd", "dstemr"):
+        solver = getattr(operators.lapack, name)
+
+        def spy(*args, _name=name, _solver=solver, **kwargs):
+            called.append(_name)
+            return _solver(*args, **kwargs)
+
+        monkeypatch.setattr(operators.lapack, name, spy)
+    return called
+
+
+def test_tridiagonal_vectors_by_count(oracle_ops, monkeypatch):
+    # one tridiagonal block of n = 225: divide and conquer exactly when
+    # 24 k >= n, MRRR below; both give exact vectors, and a cut inside the
+    # leading cluster stays inside the cluster's span with either solver
+    op = oracle_ops["gaussian"]
+    reduced = operators._Reduced(np.asfortranarray(op.grid.dt * op.matrix))
+    diag, off, vals = reduced._diag, reduced._off, reduced.values
+    n = len(diag)
+    ref_vals, ref_vecs = eigh_tridiagonal(diag, off)
+    ref_vals, ref_vecs = ref_vals[::-1], ref_vecs[:, ::-1]
+    first = _clusters(ref_vals, 1, floor=-1.0)[0]
+    inside = first.start + len(first) // 2
+    assert first.start == 0 and 1 < inside < first.stop
+    tri = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    called = _spy_tridiagonal_solvers(monkeypatch)
+    share = operators._DC_SHARE
+    for k in sorted({1, n // share, n // share + 1, inside, first.stop, n}):
+        for forced in (None, "dstemr", "dstevd"):
+            if forced == "dstemr" and k == n:
+                continue  # MRRR's index range reaches one past the wanted ones
+            if forced is not None:
+                monkeypatch.setattr(operators, "_DC_SHARE", 0 if forced == "dstemr" else n)
+            del called[:]
+            z = operators._tridiagonal_vectors(diag, off, vals, k)
+            monkeypatch.setattr(operators, "_DC_SHARE", share)
+            expect = forced or ("dstevd" if share * k >= n else "dstemr")
+            assert called == [expect], (k, forced)
+            assert z.shape == (n, k)
+            assert np.max(np.abs(z.T @ z - np.eye(k))) < 1e-12
+            resid = tri @ z - z * vals[:k]
+            assert np.max(np.linalg.norm(resid, axis=0)) < 1e-12
+            # the columns lie in the span of the leading eigenvectors up to the
+            # end of the cluster they reach into, and fill it at a boundary
+            end = first.stop if k <= first.stop else k
+            outside = z - ref_vecs[:, :end] @ (ref_vecs[:, :end].T @ z)
+            assert np.max(np.abs(outside)) < 1e-10, (k, forced)
+            if k == end:
+                cosines = np.linalg.svd(ref_vecs[:, :k].T @ z, compute_uv=False)
+                assert cosines.min() >= 1.0 - 1e-10, (k, forced)
+
+
+def test_tridiagonal_vectors_of_tiny_blocks(monkeypatch):
+    # blocks of size 1 (an empty off-diagonal, padded like dsterf's) and 2
+    called = _spy_tridiagonal_solvers(monkeypatch)
+    one = operators._tridiagonal_vectors(np.array([0.4]), np.zeros(0), np.array([0.4]), 1)
+    assert one.shape == (1, 1) and abs(one[0, 0]) == 1.0
+    diag, off = np.array([0.5, 0.5]), np.array([0.3])
+    two = operators._tridiagonal_vectors(diag, off, np.array([0.8, 0.2]), 2)
+    want = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
+    assert np.max(np.abs(np.abs(two.T @ want) - np.eye(2))) < 1e-15
+    assert called == ["dstevd", "dstevd"]
+
+
+def test_all_vectors_take_divide_and_conquer(gauss_disc_op, monkeypatch):
+    # vectors=None asks for every vector of both parity blocks
+    called = _spy_tridiagonal_solvers(monkeypatch)
+    spec = tc.eigendecompose(gauss_disc_op)
+    assert called == ["dstevd", "dstevd"]
+    v = np.sqrt(gauss_disc_op.grid.dt) * spec.eigenfunctions
+    assert np.max(np.abs(v.T @ v - np.eye(gauss_disc_op.grid.n))) < 1e-12
+
+
+def test_hermitian_check_scales_with_the_diagonal(gauss_disc_op):
+    # a non-PSD matrix whose off-diagonal dwarfs its diagonal: the tolerance
+    # follows the diagonal (the largest modulus of a PSD matrix), so a skew
+    # far below the off-diagonal's size still trips the check
+    op = gauss_disc_op
+    dt = op.grid.dt
+    matrix = np.zeros_like(op.matrix)
+    matrix[0, 1] = matrix[1, 0] = 1e6
+    matrix[1, 0] += 1e-8
+    bad = tc.ConcentrationOperator(op.window, op.raster, matrix)
+    assert dt * 1e-8 < operators._HERMITIAN_TOL * dt * 1e6
+    with pytest.raises(tc.NumericalError, match="Hermitian"):
+        tc.eigendecompose(bad, vectors=0)
 
 
 def _phase_fixed(vecs):

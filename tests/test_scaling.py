@@ -350,6 +350,23 @@ def test_autocorr_validation():
         tc.autocorr_integral(tc.Rect(0.0, 1.0, 0.0, 1.0), 0.0)
 
 
+@pytest.mark.parametrize(
+    "region",
+    [
+        tc.Disc((0.0, 0.0), 1.0),
+        tc.Rect(0.0, 1.0, 0.0, 1.0),
+        tc.Polygon([(0.0, 0.0), (2.0, 0.0), (0.0, 1.5)]),
+        tc.Mask([0.25, 0.75], [0.25, 0.75], np.array([[True, True], [True, False]])),
+    ],
+    ids=["disc", "rect", "polygon", "mask"],
+)
+@pytest.mark.parametrize("r", [math.inf, math.nan])
+def test_autocorr_refuses_non_finite_scale(region, r):
+    # unchecked, r = inf gives the area for a disc or rect and nan for a polygon
+    with pytest.raises(tc.DomainError, match="positive and finite"):
+        tc.autocorr_integral(region, r)
+
+
 def test_autocorr_square_routes_match_rect():
     # the unit square as a polygon in either orientation and as a 4 x 5 cell
     # mask: the same outer lattice, an exact inner mass on every route
