@@ -41,6 +41,7 @@ from .operators import (
     ConcentrationOperator,
     Spectrum,
     assemble,
+    assemble_direct,
     count,
     eigendecompose,
     eigenfilter,
@@ -48,7 +49,6 @@ from .operators import (
     hs_identity,
     phase_space_eigenvalues,
     phase_space_matrix,
-    trace_identity,
 )
 from .hermite import hermite_samples
 from .scaling import (
@@ -113,9 +113,9 @@ __all__ = [
     "ConcentrationOperator",
     "Spectrum",
     "assemble",
+    "assemble_direct",
     "eigendecompose",
     "count",
-    "trace_identity",
     "hs_identity",
     "energy",
     "eigenfilter",

@@ -141,13 +141,17 @@ def _read_rows(
 def read_signal_csv(path) -> Signal:
     """Parse a ``t,re,im`` CSV back into a Signal.
 
-    The time column must be a uniform centered grid; malformed rows are
-    reported with their (1-based) line number.
+    The time column must be a uniform centered grid; malformed rows, and
+    rows with a ``nan`` or infinite field, are reported with their (1-based)
+    line number.
     """
-    rows, _ = _read_rows(path, ("t", "re", "im"), (float, float, float))
+    rows, linenos = _read_rows(path, ("t", "re", "im"), (float, float, float))
     if len(rows) < 2:
         raise ConfigError(f"{path}: need at least 2 samples, got {len(rows)}")
     t, res, ims = (np.array(col) for col in zip(*rows))
+    bad = np.flatnonzero(~np.isfinite([t, res, ims]).all(axis=0))
+    if bad.size:
+        raise ConfigError(f"{path}: row {linenos[bad[0]]}: non-finite value")
     n = len(t)
     dt = (t[-1] - t[0]) / (n - 1)
     if dt <= 0 or np.max(np.abs(np.diff(t) - dt)) > _REL_TOL * max(dt, 1.0):

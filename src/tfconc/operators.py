@@ -16,7 +16,7 @@ from scipy.linalg import blas, eigvalsh, lapack
 
 from .errors import CoverageError, DomainError, NumericalError
 from .gabor import PhaseGrid, ambiguity_table
-from .grids import SampleGrid, Signal, _require_same_grid
+from .grids import SampleGrid, Signal, _require_same_grid, tf_shift
 from .regions import RasterizedRegion, Region, rasterize
 from .windows import Window
 
@@ -24,9 +24,9 @@ __all__ = [
     "ConcentrationOperator",
     "Spectrum",
     "assemble",
+    "assemble_direct",
     "eigendecompose",
     "count",
-    "trace_identity",
     "hs_identity",
     "energy",
     "eigenfilter",
@@ -59,9 +59,9 @@ class ConcentrationOperator:
     ``matrix[a, b]`` approximates the integral kernel at ``(t_a, t_b)``; the
     matrix acting on coefficient vectors is ``dt * matrix``.  Exactly
     Hermitian: the fast assembly writes each entry with its conjugate twin,
-    and the oracle route is symmetrized.  The fast assembly stores a real
-    window on a region mirror-symmetric about ``sigma = 0`` as a float64
-    matrix (exactly symmetric), everything else as complex128.
+    and :func:`assemble_direct` symmetrizes its sum.  The fast assembly
+    stores a real window on a region mirror-symmetric about ``sigma = 0`` as
+    a float64 matrix (exactly symmetric), everything else as complex128.
     """
 
     window: Window
@@ -121,17 +121,12 @@ class Spectrum:
         return np.clip(self.eigenvalues, 0.0, 1.0)
 
 
-def assemble(
-    window: Window,
-    region: Region | RasterizedRegion,
-    *,
-    oracle: bool = False,
-) -> ConcentrationOperator:
+def assemble(window: Window, region: Region | RasterizedRegion) -> ConcentrationOperator:
     """Assemble the operator matrix for ``window`` concentrated on ``region``.
 
-    Fast path: group raster cells by shift row; the weighted modulation sum of
-    each row collapses to a difference kernel ``D_i(l)`` of the lag
-    ``l = a - b`` (uniform sigma step), so
+    Group raster cells by shift row; the weighted modulation sum of each row
+    collapses to a difference kernel ``D_i(l)`` of the lag ``l = a - b``
+    (uniform sigma step), so
     ``M[a, a - l] = sum_i D_i(l) g(a + s_i) conj(g(a - l + s_i))``.  The shifts
     ``s_i`` are consecutive (the tau step is ``dt``), so for each lag this is
     a correlation over rows of ``D_.(l)`` with ``g(u) conj(g(u - l))``.  Only
@@ -141,19 +136,20 @@ def assemble(
     ``1e-17 * max|g|``, is ``width >= lags`` samples wide; the gaussian's
     kernel falls like ``exp(-pi l**2 dt**2 / 2)`` and needs about 5 time
     units of lags where its support is 7, the triangle's needs all of them).
-    The row kernels at exactly those lags come from one GEMM of the cell
-    counts against a table of roots of unity (see :func:`_row_kernels`), cost
-    ``rows * sigma_cols * lags``, and all of them are correlated in one
-    batched FFT of length ``L >= rows + width - 1``, cost about
-    ``lags * L log L``, against ``rows * width**2`` for adding one
+    The row kernels at exactly those lags come from one GEMM of the raster
+    weights, as given, against a table of roots of unity (see
+    :func:`_row_kernels`), cost ``rows * sigma_cols * lags``, and all of them
+    are correlated in one batched FFT of length ``L >= rows + width - 1``,
+    cost about ``lags * L log L``, against ``rows * width**2`` for adding one
     outer-product block per row.  Each lower diagonal is written with its
     exact conjugate above, and only where some active row's shifted window
     covers both samples; entries outside the kernel's support are exact
     zeros, and inside it the error is absolute rounding of the GEMM and the
     FFT, about ``1e-15 * max|M|``.  The diagonal (lag 0) is summed directly
-    from exact cell counts, which keeps the trace on the raster area.  This
-    is algebraically the column-by-column analyze -> mask -> synthesize
-    composition, reorganized.
+    from the row sums of the weights, which keeps it real and the trace on
+    the raster area.  This is algebraically the column-by-column analyze ->
+    mask -> synthesize composition, reorganized; :func:`assemble_direct` is
+    the same matrix by direct quadrature, kept as a test oracle.
 
     The matrix is real, and stored as float64, exactly when the window
     samples have no nonzero imaginary part and the raster is mirror-symmetric
@@ -163,10 +159,6 @@ def assemble(
     correlation runs on ``rfft``/``irfft`` and the matrix takes half the
     storage.  The rule is exact; no tolerance on ``Im M`` enters it.
 
-    ``oracle=True`` instead sums ``weight * outer(g_c, conj(g_c))`` over raster
-    cells with ``g_c`` the explicitly shifted window -- the direct quadrature
-    of the kernel formula, kept as an independent slow route.
-
     A :class:`Region` is rasterized on the smallest phase grid covering its
     bounding box; pass a :class:`RasterizedRegion` to choose the lattice or
     the cell weights.  Raises CoverageError (via rasterization) if the region
@@ -174,20 +166,38 @@ def assemble(
     anything, if the grid is too large for the matrix budget (see
     :func:`_require_matrix_budget`).
     """
+    raster = _budgeted_raster(window, region)
+    return ConcentrationOperator(window, raster, _assemble_fast(window, raster))
+
+
+def assemble_direct(
+    window: Window, region: Region | RasterizedRegion
+) -> ConcentrationOperator:
+    """The operator of :func:`assemble` by direct quadrature of the kernel
+    formula: ``weight * outer(g_c, conj(g_c))`` summed over raster cells, with
+    ``g_c`` the explicitly shifted window, then symmetrized.  Cost
+    ``cells * n**2``; an independent slow route kept as a test oracle.  The
+    region, the budget and the errors are as for :func:`assemble`.
+    """
+    raster = _budgeted_raster(window, region)
+    pg = raster.phase_grid
+    n = window.grid.n
+    matrix = np.zeros((n, n), dtype=np.complex128)
+    for i, j in zip(*np.nonzero(raster.mask)):
+        g = tf_shift(window.signal, pg.tau_values[i], pg.sigma_values[j]).samples
+        matrix += raster.weights[i, j] * np.outer(g, g.conj())
+    return ConcentrationOperator(window, raster, 0.5 * (matrix + matrix.conj().T))
+
+
+def _budgeted_raster(window: Window, region: Region | RasterizedRegion) -> RasterizedRegion:
+    """``region`` as a raster for :func:`assemble` and :func:`assemble_direct`,
+    after the matrix budget check: a :class:`Region` on the smallest phase
+    grid covering its bounding box, a :class:`RasterizedRegion` as given."""
     _require_matrix_budget(window.grid.n)
     if isinstance(region, RasterizedRegion):
-        raster = region
-    else:
-        t_lo, t_hi, s_lo, s_hi = region.bounding_box()
-        pg = PhaseGrid.cover(window.grid, (t_lo, t_hi), (s_lo, s_hi))
-        raster = rasterize(region, pg)
-
-    if oracle:
-        matrix = _assemble_oracle(window, raster)
-        matrix = 0.5 * (matrix + matrix.conj().T)
-    else:
-        matrix = _assemble_fast(window, raster)
-    return ConcentrationOperator(window, raster, matrix)
+        return region
+    t_lo, t_hi, s_lo, s_hi = region.bounding_box()
+    return rasterize(region, PhaseGrid.cover(window.grid, (t_lo, t_hi), (s_lo, s_hi)))
 
 
 def _require_matrix_budget(n: int) -> None:
@@ -207,8 +217,8 @@ def _assemble_fast(window: Window, raster: RasterizedRegion) -> np.ndarray:
     """The lag-by-lag assembly of :func:`assemble`: the row kernels at the
     kernel's ``lags`` lags only (:func:`_row_kernels`, cost
     ``rows * sigma_cols * lags``), one FFT correlation over rows for every
-    lag, the diagonal from exact cell counts, and each lower diagonal written
-    with its conjugate inside the support band.  float64 when
+    lag, the diagonal from the weights' row sums, and each lower diagonal
+    written with its conjugate inside the support band.  float64 when
     :func:`_mirror_symmetric`, complex128 otherwise."""
     grid = window.grid
     pg = raster.phase_grid
@@ -223,8 +233,8 @@ def _assemble_fast(window: Window, raster: RasterizedRegion) -> np.ndarray:
     # tau step), and inactive rows between weigh zero
     rows = np.nonzero(active)[0]
     span = slice(rows[0], rows[-1] + 1)
-    cells = raster.weights[span] / pg.cell_area
-    n_rows = len(cells)
+    weights = raster.weights[span]
+    n_rows = len(weights)
     s0 = int(pg.shift_indices[rows[0]])
 
     samples = window.samples
@@ -244,17 +254,16 @@ def _assemble_fast(window: Window, raster: RasterizedRegion) -> np.ndarray:
     above = np.abs(products).max(axis=1) > _SUPPORT_TOL * peak * peak
     lags = int(np.nonzero(above)[0][-1]) + 1
     products = products[:lags]
-    kernels = _row_kernels(cells, pg, lags, real)
+    kernels = _row_kernels(weights, pg, lags, real)
     fft, ifft = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
     size = n_rows + width - 1
     fft_len = _fast_length(size)
     spec = fft(kernels[::-1].T, fft_len) * fft(products, fft_len)
     # corr[l, j] = M[a, a - l] at j = a + s0 - first + n_rows - 1
     corr = ifft(spec, fft_len)[:, :size]
-    # lag 0 directly: a real sum of exact cell counts (a whole cell is 1), so
-    # the diagonal is real and the trace tracks the raster area
-    counts = pg.cell_area * cells.sum(axis=1)
-    corr[0] = np.convolve(counts[::-1], np.abs(support) ** 2)
+    # lag 0 directly from the weights' row sums, so the diagonal is real and
+    # the trace tracks the raster area
+    corr[0] = np.convolve(weights.sum(axis=1)[::-1], np.abs(support) ** 2)
 
     # keep (a, a - l) only where an active row's window covers both samples,
     # i.e. some active k in [l - v, width - v) with v = a + c, c = s0 - first.
@@ -286,11 +295,11 @@ def _assemble_fast(window: Window, raster: RasterizedRegion) -> np.ndarray:
 
 
 def _row_kernels(
-    cells: np.ndarray, pg: PhaseGrid, count: int, real: bool
+    weights: np.ndarray, pg: PhaseGrid, count: int, real: bool
 ) -> np.ndarray:
     """Row kernels ``D_k(l) = sum_j w_kj exp(2 pi i sigma_j l dt)`` at the lags
-    ``0 <= l < count``, with ``w = cell_area * cells``: one GEMM of the cell
-    counts against a gathered root-of-unity table.
+    ``0 <= l < count`` for the raster weights ``w``, in their own unit: one
+    GEMM of the weights against a gathered root-of-unity table.
 
     The sigma step is one bin of the n-point DFT, so the term of
     ``sigma_j = sigma_0 + j / (n dt)`` is ``exp(2 pi i sigma_0 l dt)`` times
@@ -303,17 +312,18 @@ def _row_kernels(
     The exponents are reduced into one period before the table lookup, so no
     entry is evaluated at an argument past ``2 pi``.  Costs
     ``rows * m * count`` (half that on the real path); the GEMM is scipy's
-    ``dgemm``, on the complex table viewed as interleaved real pairs.
+    ``dgemm`` with alpha 1, on the complex table viewed as interleaved real
+    pairs.
     """
-    n, m = pg.grid.n, cells.shape[1]
+    n, m = pg.grid.n, weights.shape[1]
     lags = np.arange(count)
     if real:
         half = m - m // 2
         # column j plus its mirror m-1-j; an odd m's middle column is its own
         # mirror, doubled by the sum and halved back (both exact)
-        cells = cells[:, :half] + cells[:, m - half :][:, ::-1]
+        weights = weights[:, :half] + weights[:, m - half :][:, ::-1]
         if m % 2:
-            cells[:, -1] *= 0.5
+            weights[:, -1] *= 0.5
         j = np.arange(half)[:, None]
         table = np.cos(np.pi / n * np.arange(2 * n))[((2 * j - m + 1) * lags) % (2 * n)]
     else:
@@ -322,7 +332,7 @@ def _row_kernels(
     # the transposes of C-ordered operands are Fortran-ordered, so dgemm
     # copies neither, and its Fortran-ordered product transposes back into a
     # C-ordered (rows, count) array
-    kernels = blas.dgemm(pg.cell_area, table.view(np.float64).T, cells.T).T
+    kernels = blas.dgemm(1.0, table.view(np.float64).T, weights.T).T
     if real:
         return kernels
     kernels = kernels.view(np.complex128)
@@ -351,19 +361,6 @@ def _fast_length(m: int) -> int:
         if k == 1:
             return m
         m += 1
-
-
-def _assemble_oracle(window: Window, raster: RasterizedRegion) -> np.ndarray:
-    from .grids import tf_shift
-
-    grid = window.grid
-    pg = raster.phase_grid
-    out = np.zeros((grid.n, grid.n), dtype=np.complex128)
-    ii, jj = np.nonzero(raster.mask)
-    for i, j in zip(ii, jj):
-        g = tf_shift(window.signal, pg.tau_values[i], pg.sigma_values[j]).samples
-        out += raster.weights[i, j] * np.outer(g, g.conj())
-    return out
 
 
 def eigendecompose(
@@ -698,23 +695,6 @@ def count(eigenvalues: np.ndarray, lo: float, hi: float = 1.0) -> int:
         raise DomainError(f"need 0 < lo < hi <= 1, got lo={lo}, hi={hi}")
     clamped = np.clip(eigenvalues, 0.0, 1.0)
     return int(np.sum((clamped >= lo) & (clamped <= hi)))
-
-
-def trace_identity(op: ConcentrationOperator) -> dict:
-    """Check trace == rasterized area and return both.
-
-    These are equal by construction (the diagonal quadrature of each rank-one
-    cell term is exactly the cell weight times the window norm); a gap above
-    1e-8 is a genuine numerical fault and raises NumericalError.
-    """
-    trace = op.trace
-    raster_area = op.raster.area
-    gap = abs(trace - raster_area)
-    if gap > 1e-8 * max(1.0, raster_area):
-        raise NumericalError(
-            f"trace {trace!r} vs raster area {raster_area!r}: gap {gap:.3e}"
-        )
-    return {"trace": trace, "raster_area": raster_area, "gap": gap}
 
 
 def hs_identity(spectrum: Spectrum) -> dict:

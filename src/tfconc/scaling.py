@@ -391,8 +391,11 @@ def decay_condition_margins(p: float, C: float, radii) -> list[dict]:
 
     Each entry reports the mass outside the centred disc of radius ``r``,
     ``tail = exp(-r^2 / (2 sigma^2))``, the bound ``C / r^p``, and whether the
-    condition holds there: ``tail <= bound``, with no slack.
+    condition holds there: ``tail <= bound``, with no slack.  ``p`` and ``C``
+    must be finite, else DomainError.
     """
+    if not (math.isfinite(p) and math.isfinite(C)):
+        raise DomainError(f"decay condition needs finite p and C, got p={p}, C={C}")
     out = []
     for r in radii:
         r = float(r)

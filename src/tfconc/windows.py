@@ -87,8 +87,7 @@ def _stock_radii(family: str, c: float | None) -> tuple[float, float]:
     Custom windows have no closed form; they keep the grid of their samples.
     """
     if family == "gaussian":
-        if not c > 0:
-            raise ValueError(f"gaussian parameter must be positive, got {c}")
+        _require_gaussian_parameter(c)
         return (
             _GAUSS_TAIL_X / math.sqrt(2.0 * c),
             _GAUSS_TAIL_X / math.sqrt(2.0 * math.pi**2 / c),
@@ -99,6 +98,12 @@ def _stock_radii(family: str, c: float | None) -> tuple[float, float]:
         f"window family {family!r} has no closed-form radii to size a grid; "
         "custom windows keep the grid of their samples"
     )
+
+
+def _require_gaussian_parameter(c) -> None:
+    """ValueError unless the gaussian parameter ``c`` is finite and positive."""
+    if not (math.isfinite(c) and c > 0):
+        raise ValueError(f"gaussian parameter must be finite and positive, got {c}")
 
 
 def make_window(
@@ -131,11 +136,12 @@ def make_window(
         samples, support check for the triangle).
     DegenerateWindowError
         If the samples are identically zero.
+    ValueError
+        If ``c`` is not finite and positive, or a custom sample is not finite.
     """
     edge = grid.span + grid.dt / 2.0
     if family == "gaussian":
-        if not c > 0:
-            raise ValueError(f"gaussian parameter must be positive, got {c}")
+        _require_gaussian_parameter(c)
         tail = math.erfc(math.sqrt(2.0 * c) * edge)
         if tail > _TAIL_BUDGET:
             raise TruncationError(
@@ -157,6 +163,8 @@ def make_window(
         if samples is None:
             raise ValueError("custom window needs samples")
         sig = Signal(grid, np.asarray(samples))
+        if not np.isfinite(sig.samples).all():
+            raise ValueError("custom window samples must be finite")
         power = np.abs(sig.samples) ** 2
         total = float(power.sum())
         if total <= 0.0:

@@ -32,3 +32,25 @@ def test_package_exports_are_module_objects():
         assert attr in owners, f"tfconc.{attr} is in no module's __all__"
         for module in owners[attr]:
             assert getattr(tc, attr) is getattr(module, attr), f"{attr} vs {module.__name__}"
+
+
+_ORACLES = (
+    "assemble_direct",
+    "hs_identity",
+    "phase_space_matrix",
+    "phase_space_eigenvalues",
+    "_assemble_oracle",
+)
+
+
+@pytest.mark.parametrize("name", ["cli", "scaling", "decay"])
+def test_command_path_binds_no_test_oracle(name):
+    # the slow independent routes stay test oracles: no module that a tfc
+    # command runs binds one, under its own name or any other
+    from tfconc import operators
+
+    module = importlib.import_module(f"tfconc.{name}")
+    assert [attr for attr in _ORACLES if hasattr(module, attr)] == []
+    oracles = [getattr(operators, attr) for attr in _ORACLES if hasattr(operators, attr)]
+    bound = [key for key, value in vars(module).items() if any(value is f for f in oracles)]
+    assert bound == []

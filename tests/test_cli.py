@@ -625,6 +625,35 @@ def test_filter_validation(tmp_path, capsys):
     assert "row 2" in capsys.readouterr().err
 
 
+def _signal_with_nan(path):
+    """A 49-sample signal CSV whose 11th sample (line 13) has ``re = nan``."""
+    grid = tc.SampleGrid(49, 0.25)
+    tio.write_signal_csv(path, tc.Signal(grid, np.exp(-np.pi * grid.times**2) + 0j))
+    lines = path.read_text().splitlines()
+    t, _, im = lines[12].split(",")
+    lines[12] = f"{t},nan,{im}"
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["filter", "--input", "{csv}", "--rank", "1"],
+        ["spectrum", "--window", "custom:{csv}", "--region", "disc 0 0 1"],
+    ],
+    ids=["filter-input", "custom-window"],
+)
+def test_signal_csv_with_nan_is_refused(tmp_path, capsys, argv):
+    # unchecked, filter wrote null energies and spectrum died on an IndexError
+    csv = tmp_path / "sig.csv"
+    _signal_with_nan(csv)
+    out = tmp_path / "out"
+    rc = main([*(arg.format(csv=csv) for arg in argv), "--out", str(out)])
+    assert rc == 2
+    assert "row 13: non-finite value" in capsys.readouterr().err
+    assert not any(out.glob("*"))
+
+
 def test_autocorr_defaults(tmp_path):
     rc = main(["autocorr", "--out", str(tmp_path)])
     assert rc == 0

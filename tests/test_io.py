@@ -47,6 +47,17 @@ def test_signal_csv_malformed_rows(tmp_path):
         tio.read_signal_csv(path)
 
 
+@pytest.mark.parametrize(
+    "row", ["0.5,nan,0.0", "0.5,1.0,inf", "0.5,-inf,0.0", "nan,1.0,0.0"],
+    ids=["re-nan", "im-inf", "re-minus-inf", "t-nan"],
+)
+def test_signal_csv_refuses_non_finite_fields(tmp_path, row):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"t,re,im\n-0.5,1.0,0.0\n{row}\n")
+    with pytest.raises(tc.ConfigError, match="row 3: non-finite value"):
+        tio.read_signal_csv(path)
+
+
 def test_signal_csv_grid_validation(tmp_path):
     path = tmp_path / "bad.csv"
     # non-uniform time column

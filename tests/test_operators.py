@@ -40,7 +40,7 @@ def test_fast_path_matches_oracle(rng):
     w = tc.make_window("gaussian", g)
     region = tc.Disc((0.0, 0.0), 1.0)
     fast = tc.assemble(w, region)
-    slow = tc.assemble(w, region, oracle=True)
+    slow = tc.assemble_direct(w, region)
     assert np.max(np.abs(fast.matrix - slow.matrix)) < 1e-8
 
 
@@ -202,9 +202,9 @@ def test_lags_end_at_the_last_product_above_the_cut(family, radius, lags, width,
     window = tc.make_window(family, tc.auto_grid(family, region))
     row_kernels, counts = operators._row_kernels, []
 
-    def spy(cells, pg, count, real):
+    def spy(weights, pg, count, real):
         counts.append(count)
-        return row_kernels(cells, pg, count, real)
+        return row_kernels(weights, pg, count, real)
 
     monkeypatch.setattr(operators, "_row_kernels", spy)
     tc.assemble(window, region)
@@ -236,16 +236,16 @@ def test_folded_row_kernels_match_cosine_sum(gauss_grid, m, rng):
     sigmas = gauss_grid.dsigma * (np.arange(m) - (m - 1) / 2)
     assert np.array_equal(sigmas, -sigmas[::-1])
     pg = tc.PhaseGrid(gauss_grid, [0.0, gauss_grid.dt, 2 * gauss_grid.dt], sigmas)
-    cells = rng.uniform(0.0, 1.0, (3, m))
-    cells = cells + cells[:, ::-1]
-    got = operators._row_kernels(cells, pg, count, True)
+    weights = pg.cell_area * rng.uniform(0.0, 1.0, (3, m))
+    weights = weights + weights[:, ::-1]
+    got = operators._row_kernels(weights, pg, count, True)
     lags = np.arange(count)
     cosines = np.cos(2 * np.pi * np.outer(sigmas, lags) * gauss_grid.dt)
-    want = pg.cell_area * cells @ cosines
+    want = weights @ cosines
     assert got.shape == (3, count)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.abs(want).max()
-    # the complex table on the same cells gives the same kernels
-    full = operators._row_kernels(cells, pg, count, False)
+    # the complex table on the same weights gives the same kernels
+    full = operators._row_kernels(weights, pg, count, False)
     assert np.max(np.abs(full - want)) <= 1e-14 * np.abs(want).max()
 
 
@@ -347,13 +347,73 @@ def test_mirrored_regions_assemble_real(family, region):
     raster = _raster(window, region)
     assert np.array_equal(raster.weights, raster.weights[:, ::-1])
     fast = tc.assemble(window, raster)
-    slow = tc.assemble(window, raster, oracle=True)
+    slow = tc.assemble_direct(window, raster)
     assert fast.matrix.dtype == np.float64
     gap = np.abs(fast.matrix - slow.matrix).max()
     assert gap <= 1e-13 * np.abs(slow.matrix).max(initial=0.0)
     assert fast.trace == pytest.approx(raster.area, rel=1e-13, abs=1e-13)
     vals = tc.eigendecompose(fast, vectors=0).eigenvalues
     assert -1e-12 <= vals[-1] and vals[0] <= 1.0 + 1e-12
+
+
+def _sigma_offset_discs():
+    """Discs off ``sigma = 0`` that fit the 48-point grid of step 0.25: their
+    rasters are not mirrored, so they take the complex row kernels."""
+    eighths = st.integers(-20, 20).map(lambda i: i / 8)
+    offset = st.integers(1, 4).flatmap(lambda i: st.sampled_from([i / 8, -i / 8]))
+    size = st.integers(1, 10).map(lambda i: i / 8)
+    return st.builds(lambda cx, cy, r: tc.Disc((cx, cy), r), eighths, offset, size)
+
+
+def _masks():
+    """Random 2..6 x 2..6 cell masks on a lattice of step 0.25 whose origin
+    lies on a 1/8 lattice, inside the 48-point grid of step 0.25."""
+    return st.tuples(st.integers(2, 6), st.integers(2, 6)).flatmap(
+        lambda shape: st.builds(
+            lambda t0, s0, flags: tc.Mask(
+                t0 / 8 + 0.25 * np.arange(shape[0]),
+                s0 / 8 + 0.25 * np.arange(shape[1]),
+                np.reshape(flags, shape),
+            ),
+            st.integers(-16, 8),
+            st.integers(-8, 2),
+            st.lists(st.booleans(), min_size=math.prod(shape), max_size=math.prod(shape)),
+        )
+    )
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    family=st.sampled_from(["gaussian", "triangle"]),
+    kind_region=st.one_of(
+        _mirrored_regions().map(lambda q: ("mirrored", q)),
+        _sigma_offset_discs().map(lambda q: ("offset", q)),
+        _masks().map(lambda q: ("mask", q)),
+    ),
+    weighting=st.sampled_from(["rasterized", "mirrored", "random"]),
+    seed=st.integers(0, 2**16),
+)
+def test_fast_assembly_matches_direct_quadrature(family, kind_region, weighting, seed):
+    # both row-kernel branches against the direct quadrature, on the raster
+    # weights as given: rasterized, scaled by a sigma-mirrored U(0.2, 2) (a
+    # mirrored raster stays mirrored) or by a plain U(0.1, 1)
+    kind, region = kind_region
+    window = tc.make_window(family, tc.SampleGrid(48, 0.25))
+    raster = _raster(window, region)
+    if weighting != "rasterized":
+        scale = np.random.default_rng(seed).uniform(0.1, 1.0, raster.weights.shape)
+        if weighting == "mirrored":
+            scale = scale + scale[:, ::-1]
+        raster = tc.RasterizedRegion(raster.phase_grid, raster.weights * scale)
+    fast = tc.assemble(window, raster)
+    slow = tc.assemble_direct(window, raster)
+    if kind == "mirrored" and weighting != "random":
+        assert fast.matrix.dtype == np.float64
+    if kind == "offset":
+        assert fast.matrix.dtype == np.complex128
+    gap = np.abs(fast.matrix - slow.matrix).max()
+    assert gap <= 1e-13 * np.abs(slow.matrix).max(initial=0.0)
+    assert fast.trace == pytest.approx(raster.area, rel=1e-13, abs=1e-13)
 
 
 def test_fast_path_uses_cell_weights(rng):
@@ -365,23 +425,22 @@ def test_fast_path_uses_cell_weights(rng):
         raster.phase_grid, raster.weights * rng.uniform(0.1, 1.0, raster.weights.shape)
     )
     fast = tc.assemble(w, scaled)
-    slow = tc.assemble(w, scaled, oracle=True)
+    slow = tc.assemble_direct(w, scaled)
     assert np.max(np.abs(fast.matrix - slow.matrix)) < 1e-8
     assert fast.trace == pytest.approx(scaled.area, abs=1e-8)
 
 
 def test_trace_identity(gauss_disc_op):
-    out = tc.trace_identity(gauss_disc_op)
-    assert out["gap"] < 1e-8
-    assert abs(out["trace"] - out["raster_area"]) < 1e-8
+    area = gauss_disc_op.raster.area
+    assert abs(gauss_disc_op.trace - area) < 1e-8
     # raster area tracks the analytic disc area at this resolution
-    assert out["raster_area"] == pytest.approx(np.pi * 1.5**2, rel=0.02)
+    assert area == pytest.approx(np.pi * 1.5**2, rel=0.02)
 
 
 def test_trace_empty(gauss_grid, gauss_window):
-    out = tc.trace_identity(_empty_op(gauss_grid, gauss_window))
-    assert out["trace"] == 0.0
-    assert out["raster_area"] == 0.0
+    op = _empty_op(gauss_grid, gauss_window)
+    assert op.trace == 0.0
+    assert op.raster.area == 0.0
 
 
 def test_trace_equals_eigenvalue_sum(gauss_disc_op, gauss_disc_spectrum):
@@ -696,15 +755,15 @@ def test_oversized_grid_refused_before_any_array(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("reached past the matrix budget check")
 
-    for name in ("rasterize", "_assemble_fast", "_assemble_oracle"):
+    for name in ("rasterize", "_assemble_fast", "tf_shift"):
         monkeypatch.setattr(operators, name, forbidden)
     raster = tc.RasterizedRegion(
         tc.PhaseGrid(window.grid, [0.0], [0.0]), np.ones((1, 1))
     )
     for region in (tc.Disc((0.0, 0.0), 1.0), raster):
-        for oracle in (False, True):
+        for route in (tc.assemble, tc.assemble_direct):
             with pytest.raises(tc.CoverageError) as err:
-                tc.assemble(window, region, oracle=oracle)
+                route(window, region)
             assert f"n={n} " in str(err.value)
             assert f"{2 * 16 * n * n} bytes" in str(err.value)
 

@@ -118,6 +118,17 @@ def test_auto_grid_honors_fixed_dt():
     assert g.dt == 0.1
 
 
+def test_grid_sizing_rejects_a_non_finite_width():
+    # the window check that make_window applies; unchecked, c = inf divided
+    # by zero in the closed-form radii
+    disc = tc.Disc((0.0, 0.0), 1.0)
+    for c in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite and positive"):
+            tc.auto_grid("gaussian", disc, c=c)
+        with pytest.raises(ValueError, match="finite and positive"):
+            tc.scaling_experiment("gaussian", disc, [1.0], c=c)
+
+
 def test_auto_grid_rejects_oversize():
     with pytest.raises(tc.CoverageError):
         tc.auto_grid("gaussian", tc.Disc((0.0, 0.0), 60.0))
@@ -524,6 +535,15 @@ def test_decay_condition_binding_radius():
     assert rows[1]["ok"]
     with pytest.raises(tc.DomainError):
         tc.decay_condition_margins(1.0, 1.0, [0.0])
+
+
+@pytest.mark.parametrize(
+    "p, C", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf)]
+)
+def test_decay_condition_refuses_non_finite_p_and_C(p, C):
+    # unchecked, a nan p gave bound nan and ok False, an infinite C ok True
+    with pytest.raises(tc.DomainError, match="finite p and C"):
+        tc.decay_condition_margins(p, C, [2.0])
 
 
 def test_decay_condition_fails_a_tail_below_any_absolute_slack():

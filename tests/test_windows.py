@@ -71,9 +71,18 @@ def test_custom_truncation():
 
 
 def test_gaussian_rejects_nonpositive_width():
-    for c in (0.0, -1.0, float("nan")):
-        with pytest.raises(ValueError, match="positive"):
+    for c in (0.0, -1.0, float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="finite and positive"):
             tc.make_window("gaussian", tc.SampleGrid(64, 0.1), c=c)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_custom_window_rejects_non_finite_samples(bad):
+    g = tc.SampleGrid(33, 0.25)
+    samples = np.exp(-np.pi * g.times**2).astype(complex)
+    samples[16] = bad
+    with pytest.raises(ValueError, match="finite"):
+        tc.make_window("custom", g, samples=samples)
 
 
 def test_unknown_family():
