@@ -3,29 +3,22 @@ concentration spectra, scaling asymptotics, and eigenfunction regularity."""
 
 from ._version import __version__
 from .errors import (
-    AlignmentError,
     ConfigError,
     CoverageError,
-    DegenerateWindowError,
     DomainError,
-    GridMismatchError,
-    InvalidScaleError,
     NumericalError,
     TfcError,
-    TruncationError,
     UnsupportedCaseError,
 )
 from .grids import (
+    PhaseGrid,
     SampleGrid,
     Signal,
     fourier_transform,
     grids_compatible,
-    inner_product,
     inverse_fourier_transform,
-    tf_shift,
 )
 from .windows import Window, make_window
-from .gabor import GaborCoefficients, PhaseGrid, ambiguity_table, analyze, synthesize
 from .regions import (
     Disc,
     Mask,
@@ -41,15 +34,12 @@ from .operators import (
     ConcentrationOperator,
     Spectrum,
     assemble,
-    assemble_direct,
     count,
     eigendecompose,
     eigenfilter,
     energy,
-    hs_identity,
-    phase_space_eigenvalues,
-    phase_space_matrix,
 )
+from .oracles import analyze, assemble_direct, phase_space_eigenvalues
 from .hermite import hermite_samples
 from .scaling import (
     ScalingReport,
@@ -72,11 +62,6 @@ __all__ = [
     "__version__",
     # errors
     "TfcError",
-    "GridMismatchError",
-    "AlignmentError",
-    "TruncationError",
-    "DegenerateWindowError",
-    "InvalidScaleError",
     "CoverageError",
     "DomainError",
     "NumericalError",
@@ -85,20 +70,13 @@ __all__ = [
     # grids and signals
     "SampleGrid",
     "Signal",
-    "inner_product",
+    "PhaseGrid",
     "fourier_transform",
     "inverse_fourier_transform",
-    "tf_shift",
     "grids_compatible",
     # windows
     "Window",
     "make_window",
-    # gabor
-    "PhaseGrid",
-    "GaborCoefficients",
-    "analyze",
-    "synthesize",
-    "ambiguity_table",
     # regions
     "Region",
     "Disc",
@@ -113,13 +91,13 @@ __all__ = [
     "ConcentrationOperator",
     "Spectrum",
     "assemble",
-    "assemble_direct",
     "eigendecompose",
     "count",
-    "hs_identity",
     "energy",
     "eigenfilter",
-    "phase_space_matrix",
+    # test oracles the acceptance gate calls
+    "analyze",
+    "assemble_direct",
     "phase_space_eigenvalues",
     # hermite
     "hermite_samples",

@@ -4,11 +4,6 @@ from __future__ import annotations
 
 __all__ = [
     "TfcError",
-    "GridMismatchError",
-    "AlignmentError",
-    "TruncationError",
-    "DegenerateWindowError",
-    "InvalidScaleError",
     "CoverageError",
     "DomainError",
     "NumericalError",
@@ -21,32 +16,15 @@ class TfcError(Exception):
     """Base class for all toolkit errors."""
 
 
-class GridMismatchError(TfcError):
-    """Two objects live on different sample grids."""
-
-
-class AlignmentError(TfcError):
-    """A requested time shift is not an integer multiple of the grid step."""
-
-
-class TruncationError(TfcError):
-    """A window (or signal) leaves more mass outside the grid than allowed."""
-
-
-class DegenerateWindowError(TfcError):
-    """Window samples are identically zero (or numerically so)."""
-
-
-class InvalidScaleError(TfcError):
-    """Scale factor must be strictly positive."""
-
-
 class CoverageError(TfcError):
     """A phase-space region sticks out of the grid that must cover it."""
 
 
 class DomainError(TfcError):
-    """A numeric parameter lies outside its admissible interval."""
+    """An input lies outside what a routine admits: a numeric parameter out of
+    its interval, a non-positive scale, a shift off the sample grid, two
+    objects on different grids, or a window that is all zero or leaves mass
+    outside its grid."""
 
 
 class NumericalError(TfcError):

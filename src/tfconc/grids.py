@@ -1,4 +1,5 @@
-"""Uniform sample grids, discrete signals, and the unitary transforms between them.
+"""Uniform sample grids, discrete signals, the unitary transforms between them,
+and the phase-space lattices over a grid.
 
 All quadrature is the plain Riemann sum with weight ``dt``; the discrete
 Fourier pair below is the exact Riemann sum of the defining integrals on the
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AlignmentError, GridMismatchError
+from .errors import DomainError
 
 __all__ = [
     "SampleGrid",
@@ -23,6 +24,7 @@ __all__ = [
     "fourier_transform",
     "inverse_fourier_transform",
     "tf_shift",
+    "PhaseGrid",
 ]
 
 #: relative tolerance used when deciding whether two grids (or a shift and a
@@ -86,7 +88,7 @@ class SampleGrid:
         return SampleGrid(self.n, self.dsigma)
 
     def shift_index(self, tau: float) -> int:
-        """Integer ``m`` with ``tau == m * dt``, or AlignmentError.
+        """Integer ``m`` with ``tau == m * dt``, or DomainError.
 
         The shift must align with the grid within 1e-9 relative so that
         translated samples land on samples again.
@@ -94,7 +96,7 @@ class SampleGrid:
         ratio = tau / self.dt
         m = round(ratio)
         if abs(ratio - m) > _REL_TOL * max(1.0, abs(ratio)):
-            raise AlignmentError(
+            raise DomainError(
                 f"shift tau={tau!r} is not an integer multiple of dt={self.dt!r}"
             )
         return int(m)
@@ -106,7 +108,7 @@ def grids_compatible(a: SampleGrid, b: SampleGrid) -> bool:
 
 def _require_same_grid(a: SampleGrid, b: SampleGrid, what: str) -> None:
     if not grids_compatible(a, b):
-        raise GridMismatchError(
+        raise DomainError(
             f"{what}: grids differ (n={a.n}, dt={a.dt!r}) vs (n={b.n}, dt={b.dt!r})"
         )
 
@@ -211,7 +213,7 @@ def inverse_fourier_transform(spectrum: Signal) -> Signal:
 def tf_shift(f: Signal, tau: float, sigma: float) -> Signal:
     """Time-frequency shift ``e^{pi i tau sigma} e^{2 pi i sigma t} f(t + tau)``.
 
-    ``tau`` must be grid-aligned (AlignmentError otherwise); ``sigma`` is
+    ``tau`` must be grid-aligned (DomainError otherwise); ``sigma`` is
     unrestricted.  Samples translated past the grid edge are dropped and zeros
     shifted in -- the grid models the real line, not the circle, so no wrap.
     """
@@ -229,3 +231,137 @@ def _shifted(samples: np.ndarray, m: int) -> np.ndarray:
     if a < b:
         out[a:b] = samples[a + m : b + m]
     return out
+
+
+# -- phase-space lattices -----------------------------------------------------
+
+
+def _uniform_step(values: np.ndarray, what: str) -> float:
+    if len(values) == 1:
+        return 0.0
+    steps = np.diff(values)
+    step = float(steps[0])
+    if step <= 0 or not np.allclose(steps, step, rtol=1e-9, atol=0.0):
+        raise ValueError(f"{what} values must increase with a uniform step")
+    return step
+
+
+def _require_step(values: np.ndarray, what: str, want: float, name: str) -> None:
+    """ValueError unless ``values`` increase with a uniform step equal to
+    ``want``, which the message calls ``name``, to the grid tolerance."""
+    if len(values) > 1:
+        step = _uniform_step(values, what)
+        if abs(step - want) > _REL_TOL * want:
+            raise ValueError(f"{what} step {step!r} must equal {name} = {want!r}")
+
+
+@dataclass(frozen=True, eq=False)
+class PhaseGrid:
+    """Rectangular set of phase-space nodes ``(tau_i, sigma_j)``.
+
+    Invariants: tau values are grid-aligned translates with step ``dt``; sigma
+    values have step ``1/(n*dt)`` (one FFT bin) and at most ``n`` of them, all
+    inside the grid's Nyquist band.  Offsets are free -- covers use integer
+    multiples, the full frequency grid uses symmetric half-offset bins.
+    """
+
+    grid: SampleGrid
+    tau_values: np.ndarray
+    sigma_values: np.ndarray
+
+    def __post_init__(self) -> None:
+        taus = np.asarray(self.tau_values, dtype=float)
+        sigmas = np.asarray(self.sigma_values, dtype=float)
+        if taus.ndim != 1 or len(taus) == 0 or sigmas.ndim != 1 or len(sigmas) == 0:
+            raise ValueError("phase grid needs 1-D, non-empty tau and sigma values")
+        dt, ds = self.grid.dt, self.grid.dsigma
+        _require_step(taus, "tau", dt, "dt")
+        for tau in (taus[0], taus[-1]):
+            self.grid.shift_index(tau)  # alignment check, raises DomainError
+        _require_step(sigmas, "sigma", ds, "1/(n dt)")
+        if len(sigmas) > self.grid.n:
+            raise ValueError(
+                f"{len(sigmas)} sigma rows exceed one FFT period (n={self.grid.n})"
+            )
+        band = 0.5 / dt + ds / 2 + 1e-9 * ds
+        if np.abs(sigmas).max() > band:
+            raise ValueError("sigma values leave the grid's Nyquist band")
+        object.__setattr__(self, "tau_values", taus)
+        object.__setattr__(self, "sigma_values", sigmas)
+
+    @property
+    def dtau(self) -> float:
+        return self.grid.dt
+
+    @property
+    def dsigma(self) -> float:
+        return self.grid.dsigma
+
+    @property
+    def cell_area(self) -> float:
+        return self.dtau * self.dsigma
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self.tau_values), len(self.sigma_values)
+
+    @property
+    def shift_indices(self) -> np.ndarray:
+        """Grid shift of each tau row: consecutive, as the tau step is ``dt``."""
+        first = self.grid.shift_index(self.tau_values[0])
+        return first + np.arange(len(self.tau_values))
+
+    # -- constructors ---------------------------------------------------------
+
+    @classmethod
+    def full_cover(cls, grid: SampleGrid) -> "PhaseGrid":
+        """Shifts spanning the grid itself, all frequency bins."""
+        m = (grid.n - 1) // 2
+        taus = grid.dt * np.arange(-m, m + 1)
+        return cls(grid, taus, grid.dual.times)
+
+    @classmethod
+    def moyal_cover(cls, grid: SampleGrid) -> "PhaseGrid":
+        """Shifts spanning twice the grid, all frequency bins.
+
+        With this cover the discrete phase-space energy of *any* signal equals
+        its squared norm exactly: the sigma rows form a full FFT period
+        (unitarity) and every sample sees the whole window slide past it.
+        """
+        m = grid.n - 1
+        taus = grid.dt * np.arange(-m, m + 1)
+        return cls(grid, taus, grid.dual.times)
+
+    @classmethod
+    def cover(
+        cls,
+        grid: SampleGrid,
+        tau_range: tuple[float, float],
+        sigma_range: tuple[float, float],
+    ) -> "PhaseGrid":
+        """Smallest integer-offset lattice covering the given ranges."""
+        dt, ds = grid.dt, grid.dsigma
+        t_lo, t_hi = tau_range
+        s_lo, s_hi = sigma_range
+        i0 = _floor_index(t_lo / dt)
+        i1 = _ceil_index(t_hi / dt)
+        j0 = _floor_index(s_lo / ds)
+        j1 = _ceil_index(s_hi / ds)
+        j_band = int(np.floor((0.5 / dt) / ds - 0.5))
+        j0, j1 = max(j0, -j_band), min(j1, j_band)
+        if j1 - j0 + 1 > grid.n:
+            # symmetric trim to one FFT period
+            excess = j1 - j0 + 1 - grid.n
+            j0 += excess // 2
+            j1 -= excess - excess // 2
+        taus = dt * np.arange(i0, i1 + 1)
+        sigmas = ds * np.arange(j0, j1 + 1)
+        return cls(grid, taus, sigmas)
+
+
+def _floor_index(x: float) -> int:
+    return int(np.floor(x + 1e-12))
+
+
+def _ceil_index(x: float) -> int:
+    return int(np.ceil(x - 1e-12))

@@ -12,11 +12,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import blas, eigvalsh, lapack
+from scipy.linalg import blas, lapack
 
 from .errors import CoverageError, DomainError, NumericalError
-from .gabor import PhaseGrid, ambiguity_table
-from .grids import SampleGrid, Signal, _require_same_grid, tf_shift
+from .grids import PhaseGrid, SampleGrid, Signal, _require_same_grid
 from .regions import RasterizedRegion, Region, rasterize
 from .windows import Window
 
@@ -24,14 +23,10 @@ __all__ = [
     "ConcentrationOperator",
     "Spectrum",
     "assemble",
-    "assemble_direct",
     "eigendecompose",
     "count",
-    "hs_identity",
     "energy",
     "eigenfilter",
-    "phase_space_matrix",
-    "phase_space_eigenvalues",
 ]
 
 _HERMITIAN_TOL = 1e-12
@@ -45,8 +40,6 @@ _SUPPORT_TOL = 1e-17
 #: a request for at least 1/24 of a tridiagonal block's eigenvectors takes all
 #: of them by divide and conquer (see :func:`_tridiagonal_vectors`)
 _DC_SHARE = 24
-#: phase_space_matrix beyond this many cells needs gigabytes (cells**2 entries)
-_CELL_CAP = 4096
 #: bytes that assembly's n x n matrix and the eigensolver's working copy may
 #: take together, both counted as complex128 (the larger dtype): n <= 5792
 _MATRIX_BUDGET = 1 << 30
@@ -59,9 +52,10 @@ class ConcentrationOperator:
     ``matrix[a, b]`` approximates the integral kernel at ``(t_a, t_b)``; the
     matrix acting on coefficient vectors is ``dt * matrix``.  Exactly
     Hermitian: the fast assembly writes each entry with its conjugate twin,
-    and :func:`assemble_direct` symmetrizes its sum.  The fast assembly
-    stores a real window on a region mirror-symmetric about ``sigma = 0`` as
-    a float64 matrix (exactly symmetric), everything else as complex128.
+    and :func:`tfconc.oracles.assemble_direct` symmetrizes its sum.  The fast
+    assembly stores a real window on a region mirror-symmetric about
+    ``sigma = 0`` as a float64 matrix (exactly symmetric), everything else as
+    complex128.
     """
 
     window: Window
@@ -148,8 +142,9 @@ def assemble(window: Window, region: Region | RasterizedRegion) -> Concentration
     FFT, about ``1e-15 * max|M|``.  The diagonal (lag 0) is summed directly
     from the row sums of the weights, which keeps it real and the trace on
     the raster area.  This is algebraically the column-by-column analyze ->
-    mask -> synthesize composition, reorganized; :func:`assemble_direct` is
-    the same matrix by direct quadrature, kept as a test oracle.
+    mask -> synthesize composition, reorganized;
+    :func:`tfconc.oracles.assemble_direct` is the same matrix by direct
+    quadrature, kept as a test oracle.
 
     The matrix is real, and stored as float64, exactly when the window
     samples have no nonzero imaginary part and the raster is mirror-symmetric
@@ -170,29 +165,11 @@ def assemble(window: Window, region: Region | RasterizedRegion) -> Concentration
     return ConcentrationOperator(window, raster, _assemble_fast(window, raster))
 
 
-def assemble_direct(
-    window: Window, region: Region | RasterizedRegion
-) -> ConcentrationOperator:
-    """The operator of :func:`assemble` by direct quadrature of the kernel
-    formula: ``weight * outer(g_c, conj(g_c))`` summed over raster cells, with
-    ``g_c`` the explicitly shifted window, then symmetrized.  Cost
-    ``cells * n**2``; an independent slow route kept as a test oracle.  The
-    region, the budget and the errors are as for :func:`assemble`.
-    """
-    raster = _budgeted_raster(window, region)
-    pg = raster.phase_grid
-    n = window.grid.n
-    matrix = np.zeros((n, n), dtype=np.complex128)
-    for i, j in zip(*np.nonzero(raster.mask)):
-        g = tf_shift(window.signal, pg.tau_values[i], pg.sigma_values[j]).samples
-        matrix += raster.weights[i, j] * np.outer(g, g.conj())
-    return ConcentrationOperator(window, raster, 0.5 * (matrix + matrix.conj().T))
-
-
 def _budgeted_raster(window: Window, region: Region | RasterizedRegion) -> RasterizedRegion:
-    """``region`` as a raster for :func:`assemble` and :func:`assemble_direct`,
-    after the matrix budget check: a :class:`Region` on the smallest phase
-    grid covering its bounding box, a :class:`RasterizedRegion` as given."""
+    """``region`` as a raster for :func:`assemble` and
+    :func:`tfconc.oracles.assemble_direct`, after the matrix budget check: a
+    :class:`Region` on the smallest phase grid covering its bounding box, a
+    :class:`RasterizedRegion` as given."""
     _require_matrix_budget(window.grid.n)
     if isinstance(region, RasterizedRegion):
         return region
@@ -697,54 +674,6 @@ def count(eigenvalues: np.ndarray, lo: float, hi: float = 1.0) -> int:
     return int(np.sum((clamped >= lo) & (clamped <= hi)))
 
 
-def hs_identity(spectrum: Spectrum) -> dict:
-    """Compare ``sum lambda^2`` with the ambiguity double sum over the region.
-
-    The Hilbert-Schmidt norm has two independent discrete routes: eigenvalues
-    from the time-side matrix, and ``sum_{c, c'} w_c w_c' |H(p_c - p_c')|^2``
-    over pairs of raster cells with weights ``w``, where the weight products
-    are summed per cell difference by correlating the weights with
-    themselves.  The two routes are the same sum reordered, so they must agree
-    to rounding: a relative gap above ``eps * (n + cells)`` raises
-    NumericalError (``eps`` the float64 unit roundoff, ``n`` the matrix size
-    the eigensolver's error grows with, ``cells`` the raster cells whose pair
-    sum the other route accumulates).  The identity needs every active row's
-    window inside the grid: a window clipped at a grid edge loses mass that
-    the ambiguity route still counts, and that raises too.  The measured gap
-    is returned.
-    """
-    op = spectrum.operator
-    weights = op.raster.weights
-    n_tau, n_sigma = weights.shape
-    # zero-padded to the full lag range, so the circular correlation does not
-    # wrap; the roll puts lag 0 at (n_tau - 1, n_sigma - 1)
-    shape = (2 * n_tau - 1, 2 * n_sigma - 1)
-    spec = np.fft.rfft2(weights, shape)
-    pair_weights = np.roll(
-        np.fft.irfft2(spec * spec.conj(), shape), (n_tau - 1, n_sigma - 1), axis=(0, 1)
-    )
-    double_sum = float(np.sum(pair_weights * np.abs(_lag_table(op)) ** 2))
-    sum_sq = float(np.sum(spectrum.eigenvalues**2))
-    rel_gap = abs(sum_sq - double_sum) / max(double_sum, 1e-300)
-    tol = np.finfo(np.float64).eps * (op.grid.n + op.raster.cell_count)
-    if rel_gap > tol:
-        raise NumericalError(
-            f"Hilbert-Schmidt mismatch: eigenvalue route {sum_sq!r}, "
-            f"ambiguity route {double_sum!r} (rel gap {rel_gap:.3e} > {tol:.1e})"
-        )
-    return {"sum_sq": sum_sq, "double_integral": double_sum, "rel_gap": rel_gap}
-
-
-def _lag_table(op: ConcentrationOperator) -> np.ndarray:
-    """The window's ambiguity function at every difference of two raster
-    cells: lag ``(k, l)`` cells sits at ``[k + n_tau - 1, l + n_sigma - 1]``."""
-    pg = op.phase_grid
-    n_tau, n_sigma = op.raster.weights.shape
-    dtaus = pg.dtau * np.arange(-(n_tau - 1), n_tau)
-    dsigmas = pg.dsigma * np.arange(-(n_sigma - 1), n_sigma)
-    return ambiguity_table(op.window, dtaus, dsigmas)
-
-
 def energy(f: Signal, op: ConcentrationOperator) -> float:
     """Phase-space energy of ``f`` inside the operator's rasterized region.
 
@@ -782,41 +711,3 @@ def eigenfilter(f: Signal, spectrum: Spectrum, rank: int) -> Signal:
     dt = spectrum.operator.grid.dt
     coefs = blas.zgemv(dt, basis, f.samples, trans=2)
     return Signal(f.grid, blas.zgemv(1.0, basis, coefs))
-
-
-def phase_space_matrix(op: ConcentrationOperator) -> np.ndarray:
-    """Weight-conjugated kernel Gram on the region's cells.
-
-    ``B[c, c'] = sqrt(w_c w_{c'}) * K(p_c; p_{c'})`` over raster-covered cells
-    with weights ``w``; its eigenvalues coincide with the nonzero spectrum of
-    the time-side operator (both are products of the same two rectangular
-    maps, multiplied in the two orders).  The matrix holds cells**2 complex
-    entries, so regions of more than 4096 raster cells raise CoverageError
-    before anything is allocated.
-    """
-    cells = op.raster.cell_count
-    if cells > _CELL_CAP:
-        raise CoverageError(
-            f"phase-space matrix wants {cells} cells > {_CELL_CAP}; "
-            "shrink the region or coarsen the grid"
-        )
-    pg = op.phase_grid
-    ii, jj = np.nonzero(op.raster.mask)
-    n_tau, n_sigma = op.raster.mask.shape
-    table = _lag_table(op)
-    taus = pg.tau_values[ii]
-    sigmas = pg.sigma_values[jj]
-    di = (ii[:, None] - ii[None, :]) + (n_tau - 1)
-    dj = (jj[:, None] - jj[None, :]) + (n_sigma - 1)
-    phases = np.exp(
-        1j * np.pi * (taus[:, None] * sigmas[None, :] - sigmas[:, None] * taus[None, :])
-    )
-    root_w = np.sqrt(op.raster.weights[ii, jj])
-    return root_w[:, None] * root_w[None, :] * phases * table[di, dj]
-
-
-def phase_space_eigenvalues(op: ConcentrationOperator) -> np.ndarray:
-    """Descending eigenvalues of :func:`phase_space_matrix`."""
-    b = phase_space_matrix(op)
-    b = 0.5 * (b + b.conj().T)
-    return eigvalsh(b)[::-1]

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoverageError, InvalidScaleError
-from .gabor import PhaseGrid, _uniform_step
+from .errors import CoverageError, DomainError
+from .grids import PhaseGrid, _uniform_step
 
 __all__ = [
     "Region",
@@ -44,7 +44,7 @@ _LIVE_CELL_ARRAYS = 5
 
 def _check_scale(r: float) -> float:
     if not (r > 0 and math.isfinite(r)):
-        raise InvalidScaleError(f"scale factor must be positive and finite, got {r}")
+        raise DomainError(f"scale factor must be positive and finite, got {r}")
     return float(r)
 
 

@@ -391,8 +391,13 @@ def decay_condition_margins(p: float, C: float, radii) -> list[dict]:
 
     Each entry reports the mass outside the centred disc of radius ``r``,
     ``tail = exp(-r^2 / (2 sigma^2))``, the bound ``C / r^p``, and whether the
-    condition holds there: ``tail <= bound``, with no slack.  ``p`` and ``C``
-    must be finite, else DomainError.
+    condition holds there: ``tail <= bound``, with no slack.  The verdict is
+    decided in logs, ``C > 0`` and ``-r^2 / (2 sigma^2) <= log C - p log r``,
+    so a tail or a bound that leaves the float range cannot flip it.  The
+    reported bound is ``C / r**p`` wherever that is a float, and otherwise
+    saturates to 0.0 (``r**p`` overflows) or to an infinity of the sign of
+    ``C`` (``r**p`` underflows to zero).  ``p`` and ``C`` must be finite,
+    else DomainError.
     """
     if not (math.isfinite(p) and math.isfinite(C)):
         raise DomainError(f"decay condition needs finite p and C, got p={p}, C={C}")
@@ -401,7 +406,13 @@ def decay_condition_margins(p: float, C: float, radii) -> list[dict]:
         r = float(r)
         if r <= 0:
             raise DomainError(f"radii must be positive, got {r}")
-        tail = math.exp(-r * r / (2.0 * _SIGMA**2))
-        bound = C / r**p
-        out.append({"r": r, "tail": tail, "bound": bound, "ok": tail <= bound})
+        log_tail = -r * r / (2.0 * _SIGMA**2)
+        try:
+            bound = C / r**p
+        except OverflowError:
+            bound = 0.0
+        except ZeroDivisionError:
+            bound = math.copysign(math.inf, C) if C else 0.0
+        ok = C > 0 and log_tail <= math.log(C) - p * math.log(r)
+        out.append({"r": r, "tail": math.exp(log_tail), "bound": bound, "ok": ok})
     return out

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateWindowError, TruncationError, UnsupportedCaseError
+from .errors import DomainError, UnsupportedCaseError
 from .grids import SampleGrid, Signal
 
 __all__ = ["Window", "make_window"]
@@ -130,12 +130,11 @@ def make_window(
 
     Raises
     ------
-    TruncationError
+    DomainError
         If more than 1e-12 of the squared mass falls outside the grid
         (analytic complement for gaussians, measured edge mass for custom
-        samples, support check for the triangle).
-    DegenerateWindowError
-        If the samples are identically zero.
+        samples, support check for the triangle), or if the samples are
+        identically zero.
     ValueError
         If ``c`` is not finite and positive, or a custom sample is not finite.
     """
@@ -144,7 +143,7 @@ def make_window(
         _require_gaussian_parameter(c)
         tail = math.erfc(math.sqrt(2.0 * c) * edge)
         if tail > _TAIL_BUDGET:
-            raise TruncationError(
+            raise DomainError(
                 f"gaussian(c={c}) keeps {tail:.3e} of its mass outside the grid "
                 f"(edge {edge:.3g}); budget is {_TAIL_BUDGET}"
             )
@@ -152,7 +151,7 @@ def make_window(
         return Window(_unit(Signal(grid, raw)), "gaussian", float(c))
     if family == "triangle":
         if grid.span < 1.0:
-            raise TruncationError(
+            raise DomainError(
                 f"triangle support [-1, 1] does not fit a grid of half-width "
                 f"{grid.span:.3g}"
             )
@@ -168,10 +167,10 @@ def make_window(
         power = np.abs(sig.samples) ** 2
         total = float(power.sum())
         if total <= 0.0:
-            raise DegenerateWindowError("custom window samples are all zero")
+            raise DomainError("custom window samples are all zero")
         edge_mass = float(power[0] + power[-1]) / total
         if edge_mass > _TAIL_BUDGET:
-            raise TruncationError(
+            raise DomainError(
                 f"custom window carries {edge_mass:.3e} of its mass in the "
                 f"outermost samples; budget is {_TAIL_BUDGET}"
             )
@@ -182,7 +181,7 @@ def make_window(
 def _unit(signal: Signal) -> Signal:
     nrm = signal.norm
     if nrm == 0.0:
-        raise DegenerateWindowError("window samples are all zero")
+        raise DomainError("window samples are all zero")
     if abs(nrm - 1.0) <= 1e-14:
         return signal
     return Signal(signal.grid, signal.samples / nrm)

@@ -674,6 +674,57 @@ def test_autocorr_decay_condition(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "p, ok, bound",
+    [("2000", False, 0.0), ("-2000", True, None)],
+    ids=["overflow", "underflow"],
+)
+def test_autocorr_decay_condition_past_the_float_range(tmp_path, p, ok, bound):
+    # 2**2000 overflows and 2**-2000 underflows to zero: the bound saturates
+    # to 0.0 or to inf (written as null), and the verdict comes from logs
+    rc = main(["autocorr", "--scales", "2", "--p", p, "--C", "1", "--out", str(tmp_path)])
+    assert rc == 0
+    condition = _read_json(tmp_path / "autocorr_report.json")["decay_condition"]
+    assert condition["ok"] is ok
+    assert condition["margins"][0]["bound"] == bound
+
+
+def _zero_window(path):
+    grid = tc.SampleGrid(21, 0.1)
+    tio.write_signal_csv(path, tc.Signal(grid, np.zeros(21, dtype=complex)))
+
+
+def _gauss_window(path):
+    grid = tc.SampleGrid(21, 0.25)
+    tio.write_signal_csv(path, tc.Signal(grid, np.exp(-np.pi * grid.times**2).astype(complex)))
+
+
+@pytest.mark.parametrize(
+    "argv, write, message",
+    [
+        (["--window", "triangle", "--grid", "11,0.1"], None,
+         "triangle support [-1, 1] does not fit a grid of half-width 0.5"),
+        (["--window", "gaussian:0.01", "--grid", "11,0.1"], None,
+         "gaussian(c=0.01) keeps 9.124e-01 of its mass outside the grid (edge 0.55); "
+         "budget is 1e-12"),
+        (["--window", "custom:{csv}"], _zero_window, "custom window samples are all zero"),
+        (["--window", "custom:{csv}", "--grid", "41,0.25"], _gauss_window,
+         "the grid of {csv} (n=21, dt=0.25) does not match the grid in use "
+         "(n=41, dt=0.25)"),
+    ],
+    ids=["triangle-truncated", "gaussian-truncated", "custom-all-zero", "custom-grid-mismatch"],
+)
+def test_window_domain_errors_exit_2(tmp_path, capsys, argv, write, message):
+    csv = tmp_path / "win.csv"
+    if write:
+        write(csv)
+    out = tmp_path / "out"
+    argv = ["spectrum", *(arg.format(csv=csv) for arg in argv), "--region", "disc 0 0 0.5"]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"tfc: {message.format(csv=csv)}\n"
+    assert not any(out.glob("*.json"))
+
+
+@pytest.mark.parametrize(
     "argv, value",
     [
         (["spectrum", "--region", "disc 0 0 inf"], "inf"),

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import tfconc as tc
-from tfconc.gabor import shifted_rows
+from tfconc.grids import inner_product, tf_shift
+from tfconc.oracles import ambiguity_table, shifted_rows
 
 from conftest import random_signal
 
@@ -56,7 +57,7 @@ def test_shift_index_alignment():
     assert g.shift_index(0.25) == 2
     assert g.shift_index(-0.5) == -4
     assert g.shift_index(0.0) == 0
-    with pytest.raises(tc.AlignmentError):
+    with pytest.raises(tc.DomainError, match="is not an integer multiple of dt"):
         g.shift_index(0.1)
 
 
@@ -67,14 +68,14 @@ def test_signal_length_mismatch():
 
 
 def test_inner_product_unit_window(gauss_window):
-    v = tc.inner_product(gauss_window.signal, gauss_window.signal)
+    v = inner_product(gauss_window.signal, gauss_window.signal)
     assert v == pytest.approx(1.0, abs=1e-12)
     assert abs(v.imag) < 1e-14
 
 
 def test_inner_product_zero_signal(gauss_grid, gauss_window):
     z = tc.Signal(gauss_grid, np.zeros(gauss_grid.n, dtype=complex))
-    assert tc.inner_product(gauss_window.signal, z) == 0.0
+    assert inner_product(gauss_window.signal, z) == 0.0
 
 
 def test_inner_product_oracle(rng):
@@ -86,7 +87,7 @@ def test_inner_product_oracle(rng):
     oracle = g.dt * complex(
         math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms)
     )
-    got = tc.inner_product(f, h)
+    got = inner_product(f, h)
     assert abs(got - oracle) < 1e-13 * abs(oracle)
 
 
@@ -94,15 +95,15 @@ def test_inner_product_conjugate_symmetry(rng):
     g = tc.SampleGrid(48, 0.1)
     f = random_signal(g, rng)
     h = random_signal(g, rng)
-    assert tc.inner_product(f, h) == pytest.approx(
-        np.conj(tc.inner_product(h, f)), abs=1e-14
+    assert inner_product(f, h) == pytest.approx(
+        np.conj(inner_product(h, f)), abs=1e-14
     )
 
 
 def test_inner_product_positive(rng):
     g = tc.SampleGrid(48, 0.1)
     f = random_signal(g, rng)
-    v = tc.inner_product(f, f)
+    v = inner_product(f, f)
     assert abs(v.imag) < 1e-14
     assert v.real > 0
 
@@ -110,8 +111,8 @@ def test_inner_product_positive(rng):
 def test_inner_product_grid_mismatch(rng):
     f = random_signal(tc.SampleGrid(32, 0.1), rng)
     h = random_signal(tc.SampleGrid(32, 0.2), rng)
-    with pytest.raises(tc.GridMismatchError):
-        tc.inner_product(f, h)
+    with pytest.raises(tc.DomainError, match="inner_product: grids differ"):
+        inner_product(f, h)
 
 
 def test_fourier_gaussian_self_dual():
@@ -154,20 +155,20 @@ def test_plancherel(rng):
     g = tc.SampleGrid(128, 0.05)
     f = random_signal(g, rng)
     h = random_signal(g, rng)
-    lhs = tc.inner_product(f, h)
-    rhs = tc.inner_product(tc.fourier_transform(f), tc.fourier_transform(h))
+    lhs = inner_product(f, h)
+    rhs = inner_product(tc.fourier_transform(f), tc.fourier_transform(h))
     assert abs(lhs - rhs) < 1e-10 * f.norm * h.norm
 
 
 def test_tf_shift_identity(rng):
     g = tc.SampleGrid(64, 0.1)
     f = random_signal(g, rng)
-    shifted = tc.tf_shift(f, 0.0, 0.0)
+    shifted = tf_shift(f, 0.0, 0.0)
     assert np.array_equal(shifted.samples, f.samples)
 
 
 def test_tf_shift_unitary(gauss_window):
-    shifted = tc.tf_shift(gauss_window.signal, 0.4, 0.7)
+    shifted = tf_shift(gauss_window.signal, 0.4, 0.7)
     assert shifted.norm == pytest.approx(1.0, abs=1e-10)
 
 
@@ -176,7 +177,7 @@ def test_tf_shift_clips(gauss_grid):
     vals = np.zeros(gauss_grid.n, dtype=complex)
     vals[0] = 1.0
     f = tc.Signal(gauss_grid, vals)
-    shifted = tc.tf_shift(f, gauss_grid.dt, 0.0)
+    shifted = tf_shift(f, gauss_grid.dt, 0.0)
     assert shifted.norm <= f.norm
     assert np.all(shifted.samples == 0)
 
@@ -205,10 +206,10 @@ def test_shift_edges_match_zero_fill(m, rng):
     tau = m * g.dt
     assert np.any(ref) == (abs(m) < g.n)
 
-    assert np.array_equal(tc.tf_shift(f, tau, 0.0).samples, ref)
+    assert np.array_equal(tf_shift(f, tau, 0.0).samples, ref)
     sigma = 0.7
     phase = np.exp(1j * np.pi * tau * sigma + 2j * np.pi * sigma * g.times)
-    assert np.allclose(tc.tf_shift(f, tau, sigma).samples, phase * ref, rtol=0, atol=1e-12)
+    assert np.allclose(tf_shift(f, tau, sigma).samples, phase * ref, rtol=0, atol=1e-12)
 
     rows = shifted_rows(f.samples, np.array([m, 0]))
     assert np.array_equal(rows[0], ref)
@@ -217,7 +218,7 @@ def test_shift_edges_match_zero_fill(m, rng):
     # H(tau, s) = dt * sum e^{pi i tau s} e^{2 pi i s t} phi(t + tau) conj(phi(t))
     window = tc.Window(f, "custom")
     sigmas = g.dsigma * np.arange(-3, 4)
-    row = tc.ambiguity_table(window, np.array([tau]), sigmas)[0]
+    row = ambiguity_table(window, np.array([tau]), sigmas)[0]
     direct = np.array(
         [
             g.dt * np.sum(np.exp(1j * np.pi * tau * s + 2j * np.pi * s * g.times)
@@ -231,8 +232,8 @@ def test_shift_edges_match_zero_fill(m, rng):
 
 
 def test_tf_shift_alignment(gauss_window):
-    with pytest.raises(tc.AlignmentError):
-        tc.tf_shift(gauss_window.signal, 0.5 * gauss_window.grid.dt, 0.0)
+    with pytest.raises(tc.DomainError, match="is not an integer multiple of dt"):
+        tf_shift(gauss_window.signal, 0.5 * gauss_window.grid.dt, 0.0)
 
 
 def test_tf_shift_fourier_commutation(gauss_grid):
@@ -240,8 +241,8 @@ def test_tf_shift_fourier_commutation(gauss_grid):
     tau, sigma = 0.4, 0.2  # both multiples of dt = dsigma = 1/15
     vals = 2.0**0.25 * np.exp(-np.pi * (gauss_grid.times - 0.3) ** 2)
     f = tc.Signal(gauss_grid, vals.astype(complex))
-    lhs = tc.fourier_transform(tc.tf_shift(f, tau, sigma))
-    rhs = tc.tf_shift(tc.fourier_transform(f), -sigma, tau)
+    lhs = tc.fourier_transform(tf_shift(f, tau, sigma))
+    rhs = tf_shift(tc.fourier_transform(f), -sigma, tau)
     assert np.max(np.abs(lhs.samples - rhs.samples)) < 1e-8
 
 
@@ -250,8 +251,8 @@ def test_tf_shift_composition_phase(gauss_window):
     f = gauss_window.signal
     t1, s1 = 0.2, 0.5
     t2, s2 = -0.4, 0.3
-    composed = tc.tf_shift(tc.tf_shift(f, t2, s2), t1, s1)
-    direct = tc.tf_shift(f, t1 + t2, s1 + s2)
+    composed = tf_shift(tf_shift(f, t2, s2), t1, s1)
+    direct = tf_shift(f, t1 + t2, s1 + s2)
     theta = np.pi * (t1 * s2 - s1 * t2)
     assert np.max(np.abs(composed.samples - np.exp(1j * theta) * direct.samples)) < 1e-12
     # and the measured global phase agrees with the predicted one

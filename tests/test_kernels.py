@@ -1,7 +1,7 @@
 """The reproducing-kernel structure of a window's coefficient space.
 
-Ambiguity function ``H`` from :func:`tfconc.ambiguity_table`, the reproducing
-kernel as a phase times an ``H`` entry, and the projection
+Ambiguity function ``H`` from :func:`tfconc.oracles.ambiguity_table`, the
+reproducing kernel as a phase times an ``H`` entry, and the projection
 ``analyze(synthesize(.))``, each checked against its defining inner products.
 """
 
@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 import tfconc as tc
+from tfconc.grids import inner_product, tf_shift
+from tfconc.oracles import GaborCoefficients, ambiguity_table, synthesize
 
 # e^{-pi (0.5^2 + 0.25^2) / 2}, confirmed by 2e6-point quadrature of the
 # defining integral (agreement to 5e-12)
@@ -23,7 +25,7 @@ def fine_gauss():
 
 def _entry(window, tau, sigma):
     """``H(tau, sigma)``: a one-node ambiguity table."""
-    return tc.ambiguity_table(window, np.array([tau]), np.array([sigma]))[0, 0]
+    return ambiguity_table(window, np.array([tau]), np.array([sigma]))[0, 0]
 
 
 def _kernel(window, p, q):
@@ -35,7 +37,7 @@ def _kernel(window, p, q):
 def _defined(window, p, q=(0.0, 0.0)):
     """The kernel's definition, ``<rho(p) phi, rho(q) phi>``; ``H(p)`` at q = 0."""
     phi = window.signal
-    return tc.inner_product(tc.tf_shift(phi, *p), tc.tf_shift(phi, *q))
+    return inner_product(tf_shift(phi, *p), tf_shift(phi, *q))
 
 
 def test_ambiguity_at_origin(fine_gauss, tri_window):
@@ -55,7 +57,7 @@ def test_gaussian_ambiguity_closed_form(fine_gauss):
 def test_triangle_ambiguity_disjoint_support(tri_window):
     # supports [-1, 1] and shifted by 2 or more: no overlap at all
     taus = np.array([2.0, 2.5, -2.0, 3.0])
-    assert np.all(tc.ambiguity_table(tri_window, taus, np.array([0.0])) == 0.0)
+    assert np.all(ambiguity_table(tri_window, taus, np.array([0.0])) == 0.0)
 
 
 def test_ambiguity_magnitude_bound(fine_gauss, rng):
@@ -71,7 +73,7 @@ def test_ambiguity_unit_l2_mass(fine_gauss):
     g = fine_gauss.grid
     taus = g.dt * np.arange(-64, 65)
     sigmas = g.dsigma * np.arange(-64, 65)
-    table = tc.ambiguity_table(fine_gauss, taus, sigmas)
+    table = ambiguity_table(fine_gauss, taus, sigmas)
     mass = g.dt * g.dsigma * np.sum(np.abs(table) ** 2)
     assert mass == pytest.approx(1.0, abs=1e-6)
 
@@ -80,7 +82,7 @@ def test_ambiguity_table_matches_pointwise(tri_window, rng):
     g = tri_window.grid
     taus = g.dt * np.array([-20, -3, 0, 7, 16])
     sigmas = g.dsigma * np.arange(-5, 6)
-    table = tc.ambiguity_table(tri_window, taus, sigmas)
+    table = ambiguity_table(tri_window, taus, sigmas)
     for i, tau in enumerate(taus):
         for j, sigma in enumerate(sigmas):
             assert abs(table[i, j] - _defined(tri_window, (tau, sigma))) < 1e-12
@@ -89,13 +91,13 @@ def test_ambiguity_table_matches_pointwise(tri_window, rng):
 def test_ambiguity_table_rejects_bad_sigma_step(fine_gauss):
     g = fine_gauss.grid
     with pytest.raises(ValueError):
-        tc.ambiguity_table(fine_gauss, np.array([0.0]), np.array([0.0, 1.5 * g.dsigma]))
+        ambiguity_table(fine_gauss, np.array([0.0]), np.array([0.0, 1.5 * g.dsigma]))
     # 5e-7 relative off dsigma = 1/101 is under an absolute 1e-8, but PhaseGrid
     # refuses it, and so does the table
     window = tc.make_window("gaussian", tc.SampleGrid(101, 1.0))
     ds = window.grid.dsigma
     with pytest.raises(ValueError, match="must equal"):
-        tc.ambiguity_table(window, np.array([0.0]), np.array([0.0, ds * (1.0 + 5e-7)]))
+        ambiguity_table(window, np.array([0.0]), np.array([0.0, ds * (1.0 + 5e-7)]))
 
 
 def test_kernel_diagonal(fine_gauss):
@@ -131,7 +133,7 @@ def test_kernel_hermitian_symmetry(fine_gauss):
 
 def _random_coeffs(pg, rng):
     vals = rng.standard_normal(pg.shape) + 1j * rng.standard_normal(pg.shape)
-    return tc.GaborCoefficients(pg, vals)
+    return GaborCoefficients(pg, vals)
 
 
 def test_project_reproduces_transforms(gauss_grid, gauss_window):
@@ -139,7 +141,7 @@ def test_project_reproduces_transforms(gauss_grid, gauss_window):
     f = tc.Signal(gauss_grid, vals.astype(complex))
     pg = tc.PhaseGrid.cover(gauss_grid, (-4.0, 4.0), (-4.0, 4.0))
     coeffs = tc.analyze(f, gauss_window, pg)
-    projected = tc.analyze(tc.synthesize(coeffs, gauss_window), gauss_window, pg)
+    projected = tc.analyze(synthesize(coeffs, gauss_window), gauss_window, pg)
     assert np.max(np.abs(projected.values - coeffs.values)) < 1e-6
 
 
@@ -148,15 +150,15 @@ def test_project_idempotent(gauss_grid, gauss_window, rng):
     # analyze, so projecting twice is projecting once (partial covers leak)
     pg = tc.PhaseGrid.moyal_cover(gauss_grid)
     coeffs = _random_coeffs(pg, rng)
-    once = tc.analyze(tc.synthesize(coeffs, gauss_window), gauss_window, pg)
-    twice = tc.analyze(tc.synthesize(once, gauss_window), gauss_window, pg)
+    once = tc.analyze(synthesize(coeffs, gauss_window), gauss_window, pg)
+    twice = tc.analyze(synthesize(once, gauss_window), gauss_window, pg)
     assert np.max(np.abs(twice.values - once.values)) < 1e-10
 
 
 def test_project_contracts(gauss_grid, gauss_window, rng):
     pg = tc.PhaseGrid.cover(gauss_grid, (-3.0, 3.0), (-3.0, 3.0))
     coeffs = _random_coeffs(pg, rng)
-    projected = tc.analyze(tc.synthesize(coeffs, gauss_window), gauss_window, pg)
+    projected = tc.analyze(synthesize(coeffs, gauss_window), gauss_window, pg)
     assert projected.energy <= coeffs.energy + 1e-8
 
 
@@ -171,7 +173,7 @@ def test_reproducing_identity(gauss_grid, gauss_window):
     i = int(np.argmin(np.abs(pg.tau_values - 0.4)))
     j = int(np.argmin(np.abs(pg.sigma_values + 0.2)))
     tau, sigma = pg.tau_values[i], pg.sigma_values[j]
-    table = tc.ambiguity_table(gauss_window, pg.tau_values - tau, pg.sigma_values - sigma)
+    table = ambiguity_table(gauss_window, pg.tau_values - tau, pg.sigma_values - sigma)
     phases = np.exp(
         1j * np.pi * np.subtract.outer(pg.tau_values * sigma, pg.sigma_values * tau)
     )

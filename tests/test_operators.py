@@ -12,9 +12,10 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.special import gammainc
 
 import tfconc as tc
-from tfconc import operators
+from tfconc import operators, oracles
 from tfconc.decay import _clusters
-from tfconc.gabor import analyze, shifted_rows
+from tfconc.grids import inner_product
+from tfconc.oracles import analyze, hs_identity, phase_space_matrix, shifted_rows
 
 from conftest import chirped, random_signal
 
@@ -459,7 +460,7 @@ def test_eigenvalue_bounds(gauss_disc_spectrum, tri_disc_spectrum):
 def test_eigenfunction_orthonormality(gauss_disc_spectrum):
     for k in range(6):
         for l in range(6):
-            ip = tc.inner_product(
+            ip = inner_product(
                 gauss_disc_spectrum.eigenfunction(k),
                 gauss_disc_spectrum.eigenfunction(l),
             )
@@ -567,7 +568,7 @@ def test_counting_scan_oracle(rng):
 
 
 def test_hs_identity(gauss_disc_spectrum):
-    out = tc.hs_identity(gauss_disc_spectrum)
+    out = hs_identity(gauss_disc_spectrum)
     lam = gauss_disc_spectrum.clamped
     assert out["sum_sq"] == pytest.approx(float(np.sum(lam**2)), rel=1e-10)
     assert out["sum_sq"] <= float(np.sum(lam)) + 1e-12
@@ -589,12 +590,12 @@ def test_hs_identity_catches_small_weight_fault(gauss_disc_spectrum):
         faulty, gauss_disc_spectrum.eigenvalues, gauss_disc_spectrum.eigenfunctions
     )
     with pytest.raises(tc.NumericalError, match="Hilbert-Schmidt"):
-        tc.hs_identity(spectrum)
+        hs_identity(spectrum)
 
 
 def test_hs_identity_empty(gauss_grid, gauss_window):
     spec = tc.eigendecompose(_empty_op(gauss_grid, gauss_window))
-    out = tc.hs_identity(spec)
+    out = hs_identity(spec)
     assert out["sum_sq"] == pytest.approx(0.0, abs=1e-12)
     assert out["double_integral"] == pytest.approx(0.0, abs=1e-12)
 
@@ -656,7 +657,7 @@ def test_energy_matches_gabor_analysis(case, dtype, gauss_disc_op, gauss_window,
 
 def test_energy_grid_mismatch(gauss_disc_op, rng):
     f = random_signal(tc.SampleGrid(gauss_disc_op.grid.n + 1, gauss_disc_op.grid.dt), rng)
-    with pytest.raises(tc.GridMismatchError):
+    with pytest.raises(tc.DomainError, match="energy: grids differ"):
         tc.energy(f, gauss_disc_op)
 
 
@@ -715,10 +716,10 @@ def test_phase_side_oracles_use_cell_weights(rng):
     m = int(np.sum(keep))
     assert m > 0
     assert np.max(np.abs(signal_side[keep] - cell_side[:m])) < 1e-10
-    b = tc.phase_space_matrix(spectrum.operator)
+    b = phase_space_matrix(spectrum.operator)
     sum_sq = float(np.sum(signal_side**2))
     assert float(np.sum(np.abs(b) ** 2)) == pytest.approx(sum_sq, rel=1e-10)
-    out = tc.hs_identity(spectrum)
+    out = hs_identity(spectrum)
     assert out["rel_gap"] < 1e-10
 
 
@@ -737,9 +738,9 @@ def test_phase_space_matrix_cell_cap(gauss_window, monkeypatch):
     def no_table(*args, **kwargs):
         raise AssertionError("ambiguity table built before the size guard")
 
-    monkeypatch.setattr(operators, "ambiguity_table", no_table)
+    monkeypatch.setattr(oracles, "ambiguity_table", no_table)
     with pytest.raises(tc.CoverageError, match="cells"):
-        tc.phase_space_matrix(op)
+        phase_space_matrix(op)
     with pytest.raises(tc.CoverageError):
         tc.phase_space_eigenvalues(op)
 
@@ -755,8 +756,9 @@ def test_oversized_grid_refused_before_any_array(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("reached past the matrix budget check")
 
-    for name in ("rasterize", "_assemble_fast", "tf_shift"):
+    for name in ("rasterize", "_assemble_fast"):
         monkeypatch.setattr(operators, name, forbidden)
+    monkeypatch.setattr(oracles, "tf_shift", forbidden)
     raster = tc.RasterizedRegion(
         tc.PhaseGrid(window.grid, [0.0], [0.0]), np.ones((1, 1))
     )
@@ -1226,5 +1228,5 @@ def test_eigenfilter_past_computed_columns(gauss_grid, gauss_disc_op, rng):
 
 def test_eigenfilter_rejects_another_grid(gauss_disc_spectrum, rng):
     f = random_signal(tc.SampleGrid(101, 0.1), rng)
-    with pytest.raises(tc.GridMismatchError):
+    with pytest.raises(tc.DomainError, match="eigenfilter: grids differ"):
         tc.eigenfilter(f, gauss_disc_spectrum, 1)

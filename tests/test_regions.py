@@ -88,9 +88,9 @@ def test_scale_moves_center():
 
 
 def test_scale_rejects_nonpositive():
-    with pytest.raises(tc.InvalidScaleError):
+    with pytest.raises(tc.DomainError, match="scale factor must be positive and finite"):
         tc.Disc((0.0, 0.0), 1.0).scale(0.0)
-    with pytest.raises(tc.InvalidScaleError):
+    with pytest.raises(tc.DomainError, match="scale factor must be positive and finite"):
         tc.Rect(0.0, 1.0, 0.0, 1.0).scale(-2.0)
 
 

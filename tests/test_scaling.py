@@ -110,7 +110,7 @@ def test_auto_grid_pinned():
     for family, c, region, dt, n, step in _PINNED_GRIDS:
         g = tc.auto_grid(family, region, c=c, dt=dt)
         assert (g.n, g.dt) == (n, step), (family, c, tc.region_label(region))
-        tc.make_window(family, g, c=c)  # the family fits: no TruncationError
+        tc.make_window(family, g, c=c)  # the family fits: no truncation DomainError
 
 
 def test_auto_grid_honors_fixed_dt():
@@ -544,6 +544,14 @@ def test_decay_condition_refuses_non_finite_p_and_C(p, C):
     # unchecked, a nan p gave bound nan and ok False, an infinite C ok True
     with pytest.raises(tc.DomainError, match="finite p and C"):
         tc.decay_condition_margins(p, C, [2.0])
+
+
+def test_decay_condition_fails_a_zero_constant_past_tail_underflow():
+    # at r = 30 the tail e^{-900 pi} underflows to 0.0, yet it is > 0 = C / r^p
+    (row,) = tc.decay_condition_margins(1.0, 0.0, [30.0])
+    assert row["tail"] == 0.0
+    assert row["bound"] == 0.0
+    assert not row["ok"]
 
 
 def test_decay_condition_fails_a_tail_below_any_absolute_slack():

@@ -49,24 +49,24 @@ def test_custom_renormalized():
 
 def test_custom_zero_samples():
     g = tc.SampleGrid(32, 0.1)
-    with pytest.raises(tc.DegenerateWindowError):
+    with pytest.raises(tc.DomainError, match="custom window samples are all zero"):
         tc.make_window("custom", g, samples=np.zeros(32))
 
 
 def test_gaussian_truncation():
     # grid spans [-0.75, 0.75]; a unit gaussian keeps way more than 1e-12 outside
-    with pytest.raises(tc.TruncationError):
+    with pytest.raises(tc.DomainError, match="of its mass outside the grid"):
         tc.make_window("gaussian", tc.SampleGrid(16, 0.1))
 
 
 def test_triangle_truncation():
-    with pytest.raises(tc.TruncationError):
+    with pytest.raises(tc.DomainError, match="does not fit a grid of half-width"):
         tc.make_window("triangle", tc.SampleGrid(16, 0.1))
 
 
 def test_custom_truncation():
     g = tc.SampleGrid(32, 0.1)
-    with pytest.raises(tc.TruncationError):
+    with pytest.raises(tc.DomainError, match="of its mass in the outermost samples"):
         tc.make_window("custom", g, samples=np.ones(32))
 
 
